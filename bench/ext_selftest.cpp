@@ -8,7 +8,7 @@
 
 #include "bench_util.h"
 #include "gatesim/bist.h"
-#include "gatesim/fault_sim.h"
+#include "gatesim/engine.h"
 #include "gatesim/patterns.h"
 #include "model/coverage_laws.h"
 #include "netlist/builders.h"
@@ -23,11 +23,11 @@ int main() {
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
 
     const auto curve_of = [&](auto&& make_vector, const char* name) {
-        gatesim::FaultSimulator sim(c, faults);
+        const auto sim = sim::engine("levelized").open(c, faults);
         std::vector<gatesim::Vector> vs;
         for (int i = 0; i < 2048; ++i) vs.push_back(make_vector());
-        sim.apply(vs);
-        const auto curve = sim.coverage_curve();
+        sim->apply(vs);
+        const auto curve = sim->coverage_curve();
         std::vector<model::CoveragePoint> pts;
         for (size_t i = 1; i < curve.size(); i += 7)
             pts.push_back({static_cast<double>(i + 1), curve[i]});

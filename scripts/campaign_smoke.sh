@@ -4,8 +4,10 @@
 # data/demo.campaign (a 12-cell grid) and asserts the cache and sharding
 # guarantees that the campaign subsystem makes:
 #   1. a cold run completes every cell (all misses);
-#   2. a warm re-run is served 100% from the artifact cache and its
-#      JSON/CSV reports are byte-identical to the cold run's;
+#   2. a warm re-run is served 100% from the artifact cache, its
+#      JSON/CSV reports are byte-identical to the cold run's, and it is
+#      >= 5x faster than the cold run (`wall_ms` from the --stats files,
+#      clocked by the CLI itself);
 #   3. merging the CSVs of a --shard=0/2 + --shard=1/2 fan-out (numeric
 #      sort on the leading index column) reproduces the unsharded CSV
 #      byte for byte.
@@ -47,6 +49,14 @@ cmp -s "$work/cold.json" "$work/warm.json" || {
     echo "campaign smoke: warm JSON differs from cold JSON" >&2; exit 1; }
 cmp -s "$work/cold.csv" "$work/warm.csv" || {
     echo "campaign smoke: warm CSV differs from cold CSV" >&2; exit 1; }
+cold_ms=$(stat_of wall_ms "$work/cold.stats")
+warm_ms=$(stat_of wall_ms "$work/warm.stats")
+[ "$warm_ms" -gt 0 ] || warm_ms=1   # sub-millisecond warm runs round to 0
+speedup=$((cold_ms / warm_ms))
+[ "$speedup" -ge 5 ] || {
+    echo "campaign smoke: warm run only ${speedup}x faster than cold" \
+         "(${cold_ms} ms -> ${warm_ms} ms; need >= 5x)" >&2
+    exit 1; }
 
 # --- 3. sharded fan-out merges to the unsharded report -----------------
 cache2="$work/cache2"
@@ -62,5 +72,5 @@ cmp -s "$work/cold.csv" "$work/merged.csv" || {
     diff "$work/cold.csv" "$work/merged.csv" >&2 || true
     exit 1; }
 
-echo "campaign smoke OK ($cells cells; warm run 100% cached;" \
-     "2-way shard merge byte-identical)"
+echo "campaign smoke OK ($cells cells; warm run 100% cached," \
+     "${speedup}x faster; 2-way shard merge byte-identical)"

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Golden-corpus judge (ROADMAP #5 seed): runs every registered fault-sim
-# engine over the corpus circuits and compares the SHA-256 of each
-# canonical detection table (tools/dlproj_judge) against the digests
-# pinned under data/golden/.  All engines are bit-identical by contract,
+# Golden-corpus judge: runs every registered fault-sim engine over the
+# corpus circuits and compares the SHA-256 of each canonical detection
+# table (tools/dlproj_judge) against the digests pinned under data/golden/.  All engines are bit-identical by contract,
 # so every <circuit>.<engine>.sha256 for one circuit pins the *same*
 # digest — an engine drifting from the others, or any semantic change to
 # parsing/collapsing/simulation, fails the judge.
@@ -10,10 +9,6 @@
 # The c432 switch-level table (dlproj_judge --switch: the full physical
 # flow's realistic-fault verdicts) is judged as pseudo-engine "switch" —
 # one digest, engine-independent by the same bit-identity contract.
-#
-# Each run also writes BENCH_judge.json next to the cwd: per-(circuit,
-# engine) wall seconds, so the judge doubles as the committed per-circuit
-# perf trajectory.  Timing never enters any digest.
 #
 # Usage: scripts/judge.sh [--update] [--engine=NAME] [path/to/dlproj_judge]
 #
@@ -74,26 +69,16 @@ fi
 golden="$root/data/golden"
 mkdir -p "$golden"
 
-# Per-(circuit, engine) wall-millisecond rows for BENCH_judge.json.
-bench_rows=""
-now_ms() { date +%s%3N; }
-
 fail=0
 total=0
 start=$(date +%s)
 
 # one_digest <circuit> <pin-label> <cmd...>: digests stdout of <cmd...>,
-# compares or re-pins $golden/<circuit>.<pin-label>.sha256, and records
-# the timing row.
+# and compares or re-pins $golden/<circuit>.<pin-label>.sha256.
 one_digest() {
     circuit=$1; label=$2; shift 2
     total=$((total + 1))
-    t0=$(now_ms)
     digest=$("$@" | sha256sum | cut -d' ' -f1)
-    t1=$(now_ms)
-    [ -n "$bench_rows" ] && bench_rows="$bench_rows,
-"
-    bench_rows="$bench_rows    {\"circuit\": \"$circuit\", \"engine\": \"$label\", \"wall_ms\": $((t1 - t0))}"
     pin="$golden/$circuit.$label.sha256"
     if [ "$update" -eq 1 ]; then
         echo "$digest" > "$pin"
@@ -129,18 +114,6 @@ done
 one_digest c432 switch "$BIN" --switch --vectors=256 c432
 
 elapsed=$(($(date +%s) - start))
-
-{
-    echo "{"
-    echo "  \"bench\": \"judge\","
-    echo "  \"total_digests\": $total,"
-    echo "  \"wall_s\": $elapsed,"
-    echo "  \"circuits\": ["
-    printf '%s\n' "$bench_rows"
-    echo "  ]"
-    echo "}"
-} > BENCH_judge.json
-echo "judge: wrote BENCH_judge.json"
 
 [ "$update" -eq 1 ] && { echo "judge: pinned $total digests in ${elapsed}s"; exit 0; }
 [ "$fail" -eq 0 ] || { echo "judge FAILED (${elapsed}s)" >&2; exit 1; }

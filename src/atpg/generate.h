@@ -1,6 +1,7 @@
-// Full test-set generation driver: a random-pattern phase (PPSFP with fault
-// dropping) followed by deterministic PODEM for the remaining faults,
-// mirroring the paper's "first vectors random, last deterministic" setup.
+// Full test-set generation driver: a random-pattern phase (fault
+// simulation with fault dropping) followed by deterministic PODEM for the
+// remaining faults, mirroring the paper's "first vectors random, last
+// deterministic" setup.
 //
 // With `ndetect > 1` a third phase tops the set up to an n-detection test
 // set (Pomeranz & Reddy): already-detected faults are re-targeted — with

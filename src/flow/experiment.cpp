@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "gatesim/fault_sim.h"
 #include "model/dl_models.h"
 #include "model/yield.h"
 #include "obs/telemetry.h"

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "gatesim/fault_sim.h"
 #include "gatesim/levelized.h"
 
 namespace dlp::sim {
@@ -87,46 +86,9 @@ using gatesim::Circuit;
 using gatesim::StuckAtFault;
 using gatesim::Vector;
 
-/// Adapter: the PPSFP FaultSimulator behind the Session interface.  The
-/// "serial" engine is the same simulator pinned to one worker — it exists
-/// so benches and bug bisection can separate algorithm from threading.
-class PpsfpSession final : public Session {
-public:
-    PpsfpSession(const Circuit& circuit, std::vector<StuckAtFault> faults,
-                 parallel::ParallelOptions parallel, SessionOptions options)
-        : sim_(circuit, std::move(faults), parallel, options.ndetect,
-               std::move(options.untestable)) {}
-
-    std::span<const StuckAtFault> faults() const override {
-        return sim_.faults();
-    }
-    std::span<const int> first_detected_at() const override {
-        return sim_.first_detected_at();
-    }
-    int vectors_applied() const override { return sim_.vectors_applied(); }
-    support::ApplyResult apply(std::span<const Vector> vectors,
-                               const support::RunBudget& budget) override {
-        return sim_.apply(vectors, budget);
-    }
-    using Session::apply;
-
-    int ndetect_target() const override { return sim_.ndetect_target(); }
-    std::vector<int> detection_counts() const override {
-        const auto counts = sim_.detection_counts();
-        return std::vector<int>(counts.begin(), counts.end());
-    }
-    std::vector<int> nth_detected_at() const override {
-        const auto table = sim_.nth_detected_at();
-        return std::vector<int>(table.begin(), table.end());
-    }
-
-private:
-    gatesim::FaultSimulator sim_;
-};
-
 /// The reference oracle: scalar, one vector at a time, whole-circuit
-/// re-simulation per fault.  Shares nothing with the fast engines except
-/// the netlist IR, which is what makes it a meaningful differential
+/// re-simulation per fault.  Shares nothing with the levelized engine
+/// except the netlist IR, which is what makes it a meaningful differential
 /// baseline.  Same block/budget boundaries as every other engine, so
 /// interrupted runs are comparable too.  O(faults x vectors x gates) —
 /// test-sized circuits only.
@@ -265,37 +227,6 @@ public:
     }
 };
 
-class SerialEngine final : public Engine {
-public:
-    std::string_view name() const override { return "serial"; }
-    std::string_view description() const override {
-        return "PPSFP suffix-walk simulator pinned to one worker";
-    }
-    std::unique_ptr<Session> open(
-        const Circuit& circuit, std::vector<StuckAtFault> faults,
-        parallel::ParallelOptions, SessionOptions options) const override {
-        return std::make_unique<PpsfpSession>(circuit, std::move(faults),
-                                              parallel::ParallelOptions{1},
-                                              options);
-    }
-};
-
-class PpsfpEngine final : public Engine {
-public:
-    std::string_view name() const override { return "ppsfp"; }
-    std::string_view description() const override {
-        return "thread-pooled PPSFP simulator (64 patterns/word, "
-               "suffix-walk cones)";
-    }
-    std::unique_ptr<Session> open(
-        const Circuit& circuit, std::vector<StuckAtFault> faults,
-        parallel::ParallelOptions parallel,
-        SessionOptions options) const override {
-        return std::make_unique<PpsfpSession>(circuit, std::move(faults),
-                                              parallel, options);
-    }
-};
-
 class LevelizedEngine final : public Engine {
 public:
     std::string_view name() const override { return "levelized"; }
@@ -321,8 +252,6 @@ struct Registry {
 
     Registry() {
         engines.push_back(std::make_unique<NaiveEngine>());
-        engines.push_back(std::make_unique<SerialEngine>());
-        engines.push_back(std::make_unique<PpsfpEngine>());
         engines.push_back(std::make_unique<LevelizedEngine>());
     }
 };

@@ -1,12 +1,12 @@
 // Unified fault-simulation engine API (namespace dlp::sim).
 //
-// With the simulators multiplying (naive scalar reference, serial
-// suffix-walk, thread-pooled PPSFP, levelized bit-parallel), every layer
-// that grades stuck-at coverage — ATPG test generation, vector compaction,
-// the experiment flow, campaigns, the CLIs — selects its simulator through
-// ONE interface: a named `Engine` in a process-wide registry opens a
-// `Session` bound to (circuit, fault list), and the session applies test
-// vectors under the standard budget/cancellation contract.
+// Two simulators implement it (the naive scalar reference oracle and the
+// levelized bit-parallel engine).  Every layer that grades stuck-at
+// coverage — ATPG test generation, vector compaction, the experiment flow,
+// campaigns, the CLIs — selects its simulator through ONE interface: a
+// named `Engine` in a process-wide registry opens a `Session` bound to
+// (circuit, fault list), and the session applies test vectors under the
+// standard budget/cancellation contract.
 //
 // The load-bearing invariant: every registered engine produces BIT-IDENTICAL
 // results — the same first-detection index per fault, hence byte-identical
@@ -149,15 +149,15 @@ class Engine {
 public:
     virtual ~Engine() = default;
 
-    /// Registry name (stable, lowercase; "levelized", "ppsfp", ...).
+    /// Registry name (stable, lowercase; "levelized", "naive", ...).
     virtual std::string_view name() const = 0;
     /// One-line description for --help output and docs.
     virtual std::string_view description() const = 0;
 
     /// Opens a session.  `circuit` must outlive the session; `parallel` is
     /// the worker-count request for engines that use the shared pool
-    /// (serial engines ignore it; results never depend on it).  `options`
-    /// carries per-session knobs such as the n-detection target.
+    /// (single-threaded engines ignore it; results never depend on it).
+    /// `options` carries per-session knobs such as the n-detection target.
     virtual std::unique_ptr<Session> open(
         const gatesim::Circuit& circuit,
         std::vector<gatesim::StuckAtFault> faults,
@@ -169,8 +169,8 @@ public:
 inline constexpr std::string_view kDefaultEngine = "levelized";
 
 /// Registers an engine; throws std::invalid_argument on a duplicate name.
-/// The built-in engines (naive, serial, ppsfp, levelized) are registered
-/// on first registry access.
+/// The built-in engines (naive, levelized) are registered on first
+/// registry access.
 void register_engine(std::unique_ptr<Engine> engine);
 
 /// Registered engine names, in registration order (built-ins first).

@@ -14,13 +14,13 @@
 // push reader gates through the CSR fanout lists, evaluate strictly in
 // level order (a gate's fanins are all at lower levels, so one evaluation
 // per gate suffices), and stop where the faulty words reconverge with the
-// good machine — instead of re-evaluating the whole topological suffix the
-// way the PPSFP engine does.  Per-fault state is epoch-stamped, so setup
-// cost per fault is O(cone), not O(nets).
+// good machine — instead of re-evaluating the whole topological suffix.
+// Per-fault state is epoch-stamped, so setup cost per fault is O(cone),
+// not O(nets).
 //
-// Detection semantics are bit-identical to gatesim::FaultSimulator (and
-// the naive oracle): same block boundaries, same budget checks, same
-// first-detection lane per fault, per-block fault dropping.
+// Detection semantics are bit-identical to the naive oracle: same block
+// boundaries, same budget checks, same first-detection lane per fault,
+// per-block fault dropping.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "gatesim/engine.h"
-#include "gatesim/fault_sim.h"
 
 namespace dlp::gatesim {
 

@@ -10,10 +10,11 @@
 // results serially in chunk order, so floating-point reductions are
 // bit-identical for any worker count.
 //
-// Concurrency model: the shared pool hosts ONE top-level region at a time.
-// Regions opened while another is running on the same thread execute
-// serially inline (correct, just not nested-parallel); opening top-level
-// regions from two unrelated threads concurrently is not supported.
+// Concurrency model: the shared pool hosts ONE parallel region at a time.
+// A region opened while another is running -- nested on the same thread, or
+// top-level on another thread -- executes inline on its caller (correct,
+// just not parallel).  Results are identical for any worker count, so any
+// number of threads may call parallel_for concurrently.
 //
 // Telemetry: a region that actually goes parallel records a
 // "parallel_for" span plus parallel.regions/chunks/steals and pool.*

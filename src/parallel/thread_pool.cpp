@@ -25,15 +25,25 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run(int participants, const std::function<void(int)>& job) {
-    if (participants <= 1 || tl_in_region) {
+    const auto run_inline = [&job] {
         const bool prev = tl_in_region;
         tl_in_region = true;
         job(0);
         tl_in_region = prev;
+    };
+    if (participants <= 1 || tl_in_region) {
+        run_inline();
         return;
     }
     {
-        std::lock_guard<std::mutex> lock(mu_);
+        std::unique_lock<std::mutex> lock(mu_);
+        if (job_) {
+            // Another top-level caller owns the helpers: run this region
+            // inline, exactly like a nested one.
+            lock.unlock();
+            run_inline();
+            return;
+        }
         while (static_cast<int>(helpers_.size()) < participants - 1) {
             const int id = static_cast<int>(helpers_.size()) + 1;
             helpers_.emplace_back([this, id] { helper_loop(id); });

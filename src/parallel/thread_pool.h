@@ -4,9 +4,11 @@
 // sleep between regions, so a region costs one wake/sleep round trip, not a
 // thread spawn.
 //
-// Worker 0 is always the calling thread; a region with `participants == 1`
-// (or one opened from inside another region) runs entirely inline, which is
-// what makes the serial path and the nested case trivially correct.
+// Worker 0 is always the calling thread; a region with `participants == 1`,
+// one opened from inside another region, or one opened while another
+// thread's region holds the helpers runs entirely inline.  That is what
+// makes the single-worker path, the nested case and concurrent top-level
+// callers (the service runs one flow per worker thread) trivially correct.
 #pragma once
 
 #include <condition_variable>
@@ -25,7 +27,8 @@ public:
 
     /// Runs job(worker) for worker = 0..participants-1, worker 0 on the
     /// calling thread, and blocks until every participant returns.  Calls
-    /// from inside a running region execute job(0) inline (no deadlock, and
+    /// from inside a running region, or from any thread while another
+    /// thread's region is running, execute job(0) inline (no deadlock, and
     /// work-stealing loops still cover the whole range from one worker).
     /// `job` must not throw; parallel_for converts exceptions before here.
     void run(int participants, const std::function<void(int)>& job);

@@ -4,6 +4,7 @@
 #include "atpg/generate.h"
 #include "atpg/compaction.h"
 #include "atpg/transition_tpg.h"
+#include "gatesim/engine.h"
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
 #include "netlist/techmap.h"
@@ -52,10 +53,10 @@ TEST(Scoap, XorCosts) {
 /// Checks a PODEM-generated vector really detects the fault.
 void expect_detects(const Circuit& c, const StuckAtFault& f,
                     const Vector& test) {
-    std::vector<Vector> one{test};
-    const auto det = gatesim::run_fault_simulation(c, std::span(&f, 1), one);
-    EXPECT_EQ(det[0], 1) << "vector does not detect "
-                         << gatesim::fault_name(c, f);
+    const auto session = sim::engine("levelized").open(c, {f});
+    session->apply(std::span(&test, 1));
+    EXPECT_EQ(session->first_detected_at()[0], 1)
+        << "vector does not detect " << gatesim::fault_name(c, f);
 }
 
 TEST(Podem, FindsTestsForAllC17Faults) {
@@ -231,11 +232,11 @@ TEST(Compaction, PreservesCoverageAndShrinks) {
     EXPECT_EQ(compact.kept, compact.vectors.size());
 
     // Coverage of the compacted set equals the original detected count.
-    gatesim::FaultSimulator before(c, faults);
-    before.apply(res.vectors);
-    gatesim::FaultSimulator after(c, faults);
-    after.apply(compact.vectors);
-    EXPECT_EQ(after.detected_count(), before.detected_count());
+    const auto before = sim::engine("levelized").open(c, faults);
+    before->apply(res.vectors);
+    const auto after = sim::engine("levelized").open(c, faults);
+    after->apply(compact.vectors);
+    EXPECT_EQ(after->detected_count(), before->detected_count());
 }
 
 TEST(Compaction, KeepsOrderAndHandlesTinySets) {

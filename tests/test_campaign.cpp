@@ -335,13 +335,13 @@ TEST(CampaignCache, UncachedRunsMatchCachedContent) {
 
 TEST(CampaignCache, EngineAgnosticKeysWarmAcrossEngines) {
     // Artifact keys deliberately exclude the engine: every registered
-    // engine is bit-identical, so a cache warmed by `ppsfp` must be hit —
+    // engine is bit-identical, so a cache warmed by `naive` must be hit —
     // and produce the byte-identical report — under `levelized`.
     const CampaignSpec spec = parse_campaign_spec(kSmallSpec);
     const std::string cache = scratch_dir("xengine");
 
     CampaignOptions cold_opt = cached_options(cache);
-    cold_opt.engine = "ppsfp";
+    cold_opt.engine = "naive";
     const CampaignReport cold = run_campaign(spec, cold_opt);
     EXPECT_EQ(cold.stats.cell_misses, 4u);
 

@@ -6,14 +6,17 @@
 // This suite enforces the promise against the naive scalar oracle over
 // c17, c432, and 50 seeded random circuits, including 64-vector block
 // boundaries and mid-run budget stops, plus the levelized compiler's IR
-// invariants and the registry/selection API itself.
+// invariants, the registry/selection API itself, and the levelized engine's
+// speed gate against the oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "gatesim/engine.h"
-#include "gatesim/fault_sim.h"
 #include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
@@ -38,11 +41,9 @@ std::vector<StuckAtFault> copy_faults(std::span<const StuckAtFault> faults) {
 
 TEST(EngineRegistry, BuiltinsRegisteredInOrder) {
     const auto names = sim::engine_names();
-    ASSERT_GE(names.size(), 4u);
+    ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "naive");
-    EXPECT_EQ(names[1], "serial");
-    EXPECT_EQ(names[2], "ppsfp");
-    EXPECT_EQ(names[3], "levelized");
+    EXPECT_EQ(names[1], "levelized");
     for (const auto name : names) {
         const sim::Engine* e = sim::find_engine(name);
         ASSERT_NE(e, nullptr);
@@ -81,10 +82,10 @@ TEST(EngineRegistry, ResolutionPrecedence) {
     // Explicit name > DLPROJ_ENGINE > kDefaultEngine.
     ::unsetenv("DLPROJ_ENGINE");
     EXPECT_EQ(sim::resolve_engine().name(), sim::kDefaultEngine);
-    EXPECT_EQ(sim::resolve_engine("serial").name(), "serial");
-    ::setenv("DLPROJ_ENGINE", "ppsfp", 1);
-    EXPECT_EQ(sim::resolve_engine().name(), "ppsfp");
     EXPECT_EQ(sim::resolve_engine("naive").name(), "naive");
+    ::setenv("DLPROJ_ENGINE", "naive", 1);
+    EXPECT_EQ(sim::resolve_engine().name(), "naive");
+    EXPECT_EQ(sim::resolve_engine("levelized").name(), "levelized");
     ::setenv("DLPROJ_ENGINE", "no-such-engine", 1);
     EXPECT_THROW(sim::resolve_engine(), std::invalid_argument);
     ::unsetenv("DLPROJ_ENGINE");
@@ -224,17 +225,17 @@ TEST(EngineDifferential, BlockBoundaryVectorCounts) {
     }
 }
 
-TEST(EngineDifferential, LevelizedMatchesPpsfpAtScale) {
-    // A deeper workout than the naive oracle can afford: 300 gates, 256
-    // vectors, PPSFP (itself differentially verified above and in
-    // test_gatesim) as the reference.
+TEST(EngineDifferential, LevelizedMatchesNaiveAtScale) {
+    // A deeper workout than the small cases above: 300 gates, 1215
+    // collapsed faults and 256 vectors against the naive oracle (a few
+    // seconds of oracle time).
     const Circuit c = build_random_circuit(16, 300, 99);
     const auto faults =
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
     RandomPatternGenerator rng(99);
     const auto vectors = rng.vectors(c, 256);
 
-    const auto ref = sim::engine("ppsfp").open(c, copy_faults(faults));
+    const auto ref = sim::engine("naive").open(c, copy_faults(faults));
     ref->apply(std::span<const Vector>(vectors));
     const auto lev = sim::engine("levelized").open(c, copy_faults(faults));
     lev->apply(std::span<const Vector>(vectors));
@@ -329,23 +330,76 @@ TEST(EngineBudget, WorkerCountInvariance) {
 
 // ---- Session convenience accessors ---------------------------------------
 
-TEST(EngineSession, DerivedAccessorsMatchFaultSimulator) {
-    // The Session-computed curve must equal the FaultSimulator's own.
+TEST(EngineSession, DerivedAccessorsMatchDetectionTable) {
+    // The Session-derived accessors must equal values computed by hand
+    // from each engine's first-detection table.
     const Circuit c = build_c432();
     const auto faults =
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
     RandomPatternGenerator rng(3);
     const auto vectors = rng.vectors(c, 100);
+    const auto total = static_cast<double>(faults.size());
 
-    gatesim::FaultSimulator direct(c, copy_faults(faults));
-    direct.apply(std::span<const Vector>(vectors));
-    const auto session = sim::engine("ppsfp").open(c, copy_faults(faults));
-    session->apply(std::span<const Vector>(vectors));
+    for (const auto name : sim::engine_names()) {
+        const auto session = sim::engine(name).open(c, copy_faults(faults));
+        session->apply(std::span<const Vector>(vectors));
+        const auto table = session->first_detected_at();
 
-    EXPECT_EQ(session->detected_count(), direct.detected_count());
-    EXPECT_EQ(session->coverage(), direct.coverage());
-    EXPECT_EQ(session->coverage_curve(), direct.coverage_curve());
-    EXPECT_EQ(session->undetected(), direct.undetected());
+        std::size_t detected = 0;
+        std::vector<std::size_t> undetected;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            if (table[i] >= 0)
+                ++detected;
+            else
+                undetected.push_back(i);
+        }
+        std::vector<double> curve;
+        for (int k = 1; k <= static_cast<int>(vectors.size()); ++k) {
+            const auto hits = std::count_if(
+                table.begin(), table.end(),
+                [k](int at) { return at >= 1 && at <= k; });
+            curve.push_back(static_cast<double>(hits) / total);
+        }
+
+        EXPECT_GT(detected, 0u) << name;
+        EXPECT_EQ(session->detected_count(), detected) << name;
+        EXPECT_EQ(session->coverage(), static_cast<double>(detected) / total)
+            << name;
+        EXPECT_EQ(session->coverage_curve(), curve) << name;
+        EXPECT_EQ(session->undetected(), undetected) << name;
+    }
+}
+
+// ---- speed gate -----------------------------------------------------------
+
+TEST(EnginePerformance, LevelizedAtLeast10xNaiveOnC432) {
+    // The levelized engine earns its place as the default by speed: at
+    // least 10x the naive oracle on c432, both on one worker.  Each engine
+    // is timed 3 times and the best run counts, so a busy host does not
+    // fail the ratio.
+    const Circuit c = build_c432();
+    const auto faults =
+        gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
+    RandomPatternGenerator rng(5);
+    const auto vectors = rng.vectors(c, 256);
+
+    const auto best_seconds = [&](std::string_view name) {
+        double best = std::numeric_limits<double>::infinity();
+        for (int rep = 0; rep < 3; ++rep) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto s = sim::engine(name).open(
+                c, copy_faults(faults), parallel::ParallelOptions{1});
+            s->apply(std::span<const Vector>(vectors));
+            const std::chrono::duration<double> took =
+                std::chrono::steady_clock::now() - t0;
+            best = std::min(best, took.count());
+        }
+        return best;
+    };
+    const double naive = best_seconds("naive");
+    const double levelized = best_seconds("levelized");
+    EXPECT_GE(naive, 10.0 * levelized)
+        << "naive " << naive << " s, levelized " << levelized << " s";
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for parallel-pattern logic simulation, the stuck-at fault universe,
-// fault collapsing and the PPSFP fault simulator.
+// fault collapsing and stuck-at fault simulation (levelized engine).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
-#include "gatesim/fault_sim.h"
 #include "gatesim/bist.h"
+#include "gatesim/engine.h"
 #include "gatesim/bridge_sim.h"
 #include "gatesim/timing.h"
 #include "gatesim/transition.h"
@@ -21,6 +22,21 @@ using netlist::build_parity_tree;
 using netlist::build_ripple_adder;
 using netlist::Circuit;
 using netlist::GateType;
+
+std::unique_ptr<sim::Session> open_levelized(const Circuit& c,
+                                             std::vector<StuckAtFault> faults) {
+    return sim::engine("levelized").open(c, std::move(faults));
+}
+
+/// First-detection table of `faults` under `vectors` (levelized engine).
+std::vector<int> first_detections(const Circuit& c,
+                                  std::span<const StuckAtFault> faults,
+                                  std::span<const Vector> vectors) {
+    const auto session = open_levelized(c, {faults.begin(), faults.end()});
+    session->apply(vectors);
+    const auto table = session->first_detected_at();
+    return {table.begin(), table.end()};
+}
 
 TEST(LogicSim, ScalarMatchesParallel) {
     const Circuit c = build_c432();
@@ -77,31 +93,34 @@ TEST(FaultSim, DetectsInjectedStuckAtOnC17) {
         for (int b = 0; b < 5; ++b) v[static_cast<size_t>(b)] = (i >> b) & 1;
         vectors.push_back(v);
     }
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
-    sim.apply(vectors);
-    EXPECT_DOUBLE_EQ(sim.coverage(), 1.0);  // c17 has no redundant faults
+    const auto sim =
+        open_levelized(c, collapse_faults(c, full_fault_universe(c)));
+    sim->apply(vectors);
+    EXPECT_DOUBLE_EQ(sim->coverage(), 1.0);  // c17 has no redundant faults
 }
 
 TEST(FaultSim, CoverageCurveIsMonotone) {
     const Circuit c = build_c432();
     RandomPatternGenerator rng(11);
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
-    sim.apply(rng.vectors(c, 256));
-    const auto curve = sim.coverage_curve();
+    const auto sim =
+        open_levelized(c, collapse_faults(c, full_fault_universe(c)));
+    sim->apply(rng.vectors(c, 256));
+    const auto curve = sim->coverage_curve();
     ASSERT_EQ(curve.size(), 256u);
     for (size_t i = 1; i < curve.size(); ++i)
         EXPECT_GE(curve[i], curve[i - 1]);
     EXPECT_GT(curve.back(), 0.8);  // randoms reach >80% (paper sec. 3)
-    EXPECT_DOUBLE_EQ(curve.back(), sim.coverage());
+    EXPECT_DOUBLE_EQ(curve.back(), sim->coverage());
 }
 
 TEST(FaultSim, FirstDetectionIndicesAreOneBasedAndOrdered) {
     const Circuit c = build_c17();
     RandomPatternGenerator rng(1);
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
+    const auto sim =
+        open_levelized(c, collapse_faults(c, full_fault_universe(c)));
     const auto vectors = rng.vectors(c, 64);
-    sim.apply(vectors);
-    for (int at : sim.first_detected_at()) {
+    sim->apply(vectors);
+    for (int at : sim->first_detected_at()) {
         if (at < 0) continue;
         EXPECT_GE(at, 1);
         EXPECT_LE(at, 64);
@@ -114,18 +133,19 @@ TEST(FaultSim, IncrementalApplyMatchesOneShot) {
     const auto vectors = rng.vectors(c, 100);
     const auto faults = collapse_faults(c, full_fault_universe(c));
 
-    FaultSimulator once(c, faults);
-    once.apply(vectors);
+    const auto once = open_levelized(c, faults);
+    once->apply(vectors);
 
-    FaultSimulator chunked(c, faults);
-    chunked.apply(std::span(vectors).subspan(0, 37));
-    chunked.apply(std::span(vectors).subspan(37, 41));
-    chunked.apply(std::span(vectors).subspan(78));
+    const auto chunked = open_levelized(c, faults);
+    chunked->apply(std::span(vectors).subspan(0, 37));
+    chunked->apply(std::span(vectors).subspan(37, 41));
+    chunked->apply(std::span(vectors).subspan(78));
 
-    ASSERT_EQ(once.first_detected_at().size(),
-              chunked.first_detected_at().size());
+    ASSERT_EQ(once->first_detected_at().size(),
+              chunked->first_detected_at().size());
     for (size_t i = 0; i < faults.size(); ++i)
-        EXPECT_EQ(once.first_detected_at()[i], chunked.first_detected_at()[i]);
+        EXPECT_EQ(once->first_detected_at()[i],
+                  chunked->first_detected_at()[i]);
 }
 
 TEST(FaultSim, BranchFaultDiffersFromStem) {
@@ -140,7 +160,7 @@ TEST(FaultSim, BranchFaultDiffersFromStem) {
 
     const StuckAtFault branch{s, y1, 0, true};
     std::vector<Vector> v0{Vector{false}};
-    const auto det = run_fault_simulation(c, std::span(&branch, 1), v0);
+    const auto det = first_detections(c, std::span(&branch, 1), v0);
     EXPECT_EQ(det[0], 1);  // s=0: y1 good=1, faulty=NOT(1)=0 -> detected
     (void)y2;
 }
@@ -154,7 +174,7 @@ TEST(FaultSim, UndetectableRedundantFaultStaysUndetected) {
     c.mark_output(y);
     const StuckAtFault f{y, netlist::kNoNet, -1, true};
     std::vector<Vector> vs{Vector{false}, Vector{true}};
-    const auto det = run_fault_simulation(c, std::span(&f, 1), vs);
+    const auto det = first_detections(c, std::span(&f, 1), vs);
     EXPECT_EQ(det[0], -1);
 }
 
@@ -165,9 +185,10 @@ TEST_P(FaultSimProperty, ParityTreeNeedsBothPolarities) {
     // find them quickly (XOR propagates everything).
     const Circuit c = build_parity_tree(GetParam());
     RandomPatternGenerator rng(5);
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
-    sim.apply(rng.vectors(c, 128));
-    EXPECT_DOUBLE_EQ(sim.coverage(), 1.0);
+    const auto sim =
+        open_levelized(c, collapse_faults(c, full_fault_universe(c)));
+    sim->apply(rng.vectors(c, 128));
+    EXPECT_DOUBLE_EQ(sim->coverage(), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FaultSimProperty,
@@ -247,7 +268,7 @@ TEST(Transition, DetectionImpliesValidPair) {
         ASSERT_EQ(prev[f.line], init) << transition_fault_name(c, f);
         const StuckAtFault sa{f.line, netlist::kNoNet, -1, init};
         std::vector<Vector> one{vectors[static_cast<size_t>(at - 1)]};
-        const auto det = run_fault_simulation(c, std::span(&sa, 1), one);
+        const auto det = first_detections(c, std::span(&sa, 1), one);
         ASSERT_EQ(det[0], 1) << transition_fault_name(c, f);
     }
     EXPECT_GT(checked, 0);
@@ -393,7 +414,7 @@ TEST(Bist, MisrSeparatesGoodAndFaultyStreams) {
         // Fault simulation of a single vector.
         auto values = simulate(c, v);
         std::vector<Vector> one{v};
-        const auto det = run_fault_simulation(c, std::span(&f, 1), one);
+        const auto det = first_detections(c, std::span(&f, 1), one);
         if (det[0] == 1) {
             // Flip the output bits the fault changes: recompute faulty POs.
             // (Direct faulty simulation via the stem override.)
@@ -429,15 +450,15 @@ TEST(Bist, LfsrPatternsApproachRandomCoverage) {
     Lfsr lfsr(32, 0, 0xACE1);
     std::vector<Vector> lfsr_vectors;
     for (int i = 0; i < 512; ++i) lfsr_vectors.push_back(lfsr.next_vector(c));
-    FaultSimulator lsim(c, faults);
-    lsim.apply(lfsr_vectors);
+    const auto lsim = open_levelized(c, faults);
+    lsim->apply(lfsr_vectors);
 
     RandomPatternGenerator rng(4);
-    FaultSimulator rsim(c, faults);
-    rsim.apply(rng.vectors(c, 512));
+    const auto rsim = open_levelized(c, faults);
+    rsim->apply(rng.vectors(c, 512));
 
-    EXPECT_NEAR(lsim.coverage(), rsim.coverage(), 0.08);
-    EXPECT_GT(lsim.coverage(), 0.8);
+    EXPECT_NEAR(lsim->coverage(), rsim->coverage(), 0.08);
+    EXPECT_GT(lsim->coverage(), 0.8);
 }
 
 TEST(Patterns, DeterministicAndFullWidth) {
@@ -453,13 +474,13 @@ TEST(Patterns, DeterministicAndFullWidth) {
     EXPECT_EQ(unique.size(), vs.size());
 }
 
-// --- Differential test: naive reference simulator vs PPSFP --------------
+// --- Differential test: naive reference simulator vs levelized ----------
 //
 // An obviously-correct scalar simulator: for each fault, re-simulate the
 // whole circuit one vector at a time with the fault's line value forced,
 // and compare primary outputs against the good machine.  No pattern
 // packing, no fault dropping, no cone pruning — nothing shared with the
-// PPSFP implementation except the circuit IR.
+// levelized implementation except the circuit IR.
 
 std::vector<bool> simulate_faulty_naive(const Circuit& c, const Vector& v,
                                         const StuckAtFault& f) {
@@ -507,22 +528,22 @@ std::vector<int> run_reference_simulation(
     return first;
 }
 
-void expect_ppsfp_matches_reference(const Circuit& c,
+void expect_levelized_matches_reference(const Circuit& c,
                                     std::span<const Vector> vectors,
                                     const char* what) {
     const auto faults = full_fault_universe(c);
     const auto reference = run_reference_simulation(c, faults, vectors);
-    const auto ppsfp = run_fault_simulation(c, faults, vectors);
-    ASSERT_EQ(reference.size(), ppsfp.size());
+    const auto levelized = first_detections(c, faults, vectors);
+    ASSERT_EQ(reference.size(), levelized.size());
     for (std::size_t i = 0; i < faults.size(); ++i)
-        EXPECT_EQ(ppsfp[i], reference[i])
+        EXPECT_EQ(levelized[i], reference[i])
             << what << ": fault " << fault_name(c, faults[i]);
 }
 
 TEST(FaultSimDifferential, C17MatchesNaiveReference) {
     const Circuit c = build_c17();
     RandomPatternGenerator rng(42);
-    expect_ppsfp_matches_reference(c, rng.vectors(c, 12), "c17");
+    expect_levelized_matches_reference(c, rng.vectors(c, 12), "c17");
 }
 
 TEST(FaultSimDifferential, RandomCircuitsMatchNaiveReference) {
@@ -533,7 +554,7 @@ TEST(FaultSimDifferential, RandomCircuitsMatchNaiveReference) {
         const Circuit c =
             netlist::build_random_circuit(5, 8, /*seed=*/1000 + trial);
         RandomPatternGenerator rng(trial);
-        expect_ppsfp_matches_reference(c, rng.vectors(c, 12),
+        expect_levelized_matches_reference(c, rng.vectors(c, 12),
                                        c.name().c_str());
     }
 }
@@ -544,7 +565,7 @@ TEST(FaultSimDifferential, BlockBoundaryVectorCounts) {
     const Circuit c = netlist::build_random_circuit(5, 8, 7);
     for (int n : {1, 63, 64, 65, 70}) {
         RandomPatternGenerator rng(static_cast<std::uint64_t>(n));
-        expect_ppsfp_matches_reference(c, rng.vectors(c, n), "boundary");
+        expect_levelized_matches_reference(c, rng.vectors(c, n), "boundary");
     }
 }
 

@@ -1,6 +1,6 @@
 // The parallel engine's contract: full disjoint coverage of [0, n),
 // deterministic reductions, scoped worker-count resolution, exception
-// propagation, and nested-region safety.
+// propagation, nested-region safety, and concurrent top-level callers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -236,6 +236,38 @@ TEST(ThreadPool, ReportsParallelRegion) {
         2);
     EXPECT_TRUE(saw_region.load());
     EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+// Two unrelated threads opening top-level regions on the shared pool at
+// once (how the service runs one flow per worker): neither may deadlock,
+// and each region still covers its range exactly once.
+TEST(ThreadPool, ConcurrentTopLevelCallersCoverEveryIndexExactlyOnce) {
+    constexpr size_t kN = 1000;
+    constexpr int kRounds = 2000;
+    std::atomic<int> bad_rounds{0};
+    const auto caller = [&] {
+        std::vector<std::atomic<int>> hits(kN);
+        for (int round = 0; round < kRounds; ++round) {
+            for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+            parallel_for(
+                kN, 8,
+                [&](size_t b, size_t e, int) {
+                    for (size_t i = b; i < e; ++i)
+                        hits[i].fetch_add(1, std::memory_order_relaxed);
+                },
+                4);
+            for (const auto& h : hits)
+                if (h.load(std::memory_order_relaxed) != 1) {
+                    bad_rounds.fetch_add(1);
+                    break;
+                }
+        }
+    };
+    std::thread a(caller);
+    std::thread b(caller);
+    a.join();
+    b.join();
+    EXPECT_EQ(bad_rounds.load(), 0);
 }
 
 }  // namespace

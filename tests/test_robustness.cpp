@@ -28,7 +28,7 @@
 #include "extract/rules_parser.h"
 #include "flow/experiment.h"
 #include "flow/report.h"
-#include "gatesim/fault_sim.h"
+#include "gatesim/engine.h"
 #include "gatesim/patterns.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
@@ -232,9 +232,9 @@ TEST(PrefixConsistency, GateSimVectorBudgetYieldsExactPrefix) {
     gatesim::RandomPatternGenerator rng(7);
     const auto vectors = rng.vectors(c, 256);
 
-    gatesim::FaultSimulator full(c, faults);
-    full.apply(vectors);
-    const auto full_curve = full.coverage_curve();
+    const auto full = sim::engine("levelized").open(c, faults);
+    full->apply(vectors);
+    const auto full_curve = full->coverage_curve();
     ASSERT_EQ(full_curve.size(), vectors.size());
 
     std::mt19937 pick(123);
@@ -242,14 +242,14 @@ TEST(PrefixConsistency, GateSimVectorBudgetYieldsExactPrefix) {
         const long long cut = 1 + static_cast<long long>(pick() % 256);
         support::RunBudget budget;
         budget.max_vectors = cut;
-        gatesim::FaultSimulator part(c, faults);
-        const auto res = part.apply(vectors, budget);
+        const auto part = sim::engine("levelized").open(c, faults);
+        const auto res = part->apply(vectors, budget);
         ASSERT_EQ(res.vectors_applied, static_cast<int>(cut));
         if (cut < static_cast<long long>(vectors.size()))
             EXPECT_EQ(res.stop, support::StopReason::VectorBudget);
         else
             EXPECT_EQ(res.stop, support::StopReason::None);
-        const auto curve = part.coverage_curve();
+        const auto curve = part->coverage_curve();
         ASSERT_EQ(curve.size(), static_cast<size_t>(cut));
         for (size_t i = 0; i < curve.size(); ++i)
             ASSERT_EQ(curve[i], full_curve[i])
@@ -257,11 +257,11 @@ TEST(PrefixConsistency, GateSimVectorBudgetYieldsExactPrefix) {
         // Detection table: entries within the prefix are identical, the
         // rest are still undetected — nothing beyond the cut leaked in.
         for (size_t f = 0; f < faults.size(); ++f) {
-            const int at = full.first_detected_at()[f];
+            const int at = full->first_detected_at()[f];
             if (at >= 1 && at <= cut)
-                ASSERT_EQ(part.first_detected_at()[f], at);
+                ASSERT_EQ(part->first_detected_at()[f], at);
             else
-                ASSERT_EQ(part.first_detected_at()[f], -1);
+                ASSERT_EQ(part->first_detected_at()[f], -1);
         }
     }
 }
@@ -273,23 +273,23 @@ TEST(PrefixConsistency, GateSimCancellationCommitsWholeBlocks) {
     gatesim::RandomPatternGenerator rng(11);
     const auto vectors = rng.vectors(c, 512);
 
-    gatesim::FaultSimulator full(c, faults);
-    full.apply(vectors);
-    const auto full_curve = full.coverage_curve();
+    const auto full = sim::engine("levelized").open(c, faults);
+    full->apply(vectors);
+    const auto full_curve = full->coverage_curve();
 
     for (std::uint32_t seed = 0; seed < 10; ++seed) {
         support::RunBudget budget;
-        gatesim::FaultSimulator part(c, faults);
+        const auto part = sim::engine("levelized").open(c, faults);
         std::thread canceller([&budget, seed] {
             std::this_thread::sleep_for(std::chrono::microseconds(seed * 40));
             budget.cancel.request();
         });
-        const auto res = part.apply(vectors, budget);
+        const auto res = part->apply(vectors, budget);
         canceller.join();
         // Whole 64-vector blocks only; whatever committed is an exact
         // prefix of the unbounded run, wherever the cancel landed.
         EXPECT_EQ(res.vectors_applied % 64, 0) << "seed " << seed;
-        const auto curve = part.coverage_curve();
+        const auto curve = part->coverage_curve();
         ASSERT_EQ(curve.size(), static_cast<size_t>(res.vectors_applied));
         for (size_t i = 0; i < curve.size(); ++i)
             ASSERT_EQ(curve[i], full_curve[i]) << "seed " << seed;
@@ -305,17 +305,17 @@ TEST(PrefixConsistency, GateSimPreCancelledAndExpiredApplyNothing) {
 
     support::RunBudget cancelled;
     cancelled.cancel.request();
-    gatesim::FaultSimulator a(c, faults);
-    const auto ra = a.apply(vectors, cancelled);
+    const auto a = sim::engine("levelized").open(c, faults);
+    const auto ra = a->apply(vectors, cancelled);
     EXPECT_EQ(ra.vectors_applied, 0);
     EXPECT_EQ(ra.newly_detected, 0);
     EXPECT_EQ(ra.stop, support::StopReason::Cancelled);
-    EXPECT_TRUE(a.coverage_curve().empty());
+    EXPECT_TRUE(a->coverage_curve().empty());
 
     support::RunBudget expired;
     expired.deadline = support::Deadline::after_ms(0);
-    gatesim::FaultSimulator b(c, faults);
-    const auto rb = b.apply(vectors, expired);
+    const auto b = sim::engine("levelized").open(c, faults);
+    const auto rb = b->apply(vectors, expired);
     EXPECT_EQ(rb.vectors_applied, 0);
     EXPECT_EQ(rb.stop, support::StopReason::DeadlineExpired);
 }

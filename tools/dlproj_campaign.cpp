@@ -15,8 +15,8 @@
 //   --stats=PATH      write cache/run accounting JSON (with wall_ms) to
 //                     PATH ("-" = stderr summary is always printed)
 //   --engine=NAME     fault-sim engine for every cell, overriding the
-//                     spec's `engine =` key (naive, serial, ppsfp,
-//                     levelized; default: $DLPROJ_ENGINE, else levelized).
+//                     spec's `engine =` key (naive, levelized; default:
+//                     $DLPROJ_ENGINE, else levelized).
 //                     Engines are bit-identical — this is a performance
 //                     knob and never affects results or cache keys
 //   --threads=N       worker count within each cell (0 = default)
