@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation lint, run by the `docs_check` CTest entry and the CI docs
-# job.  Three checks:
+# job.  Four checks:
 #   1. every relative markdown link in the repo's *.md files points at a
 #      file or directory that exists (external URLs and pure #anchors are
 #      skipped, as are targets that don't look like paths);
@@ -10,7 +10,10 @@
 #      documented to land;
 #   3. every CLI flag a tool accepts (the "--flag" literals in its source,
 #      which is also what its usage()/--help prints) appears in
-#      docs/CONFIGURATION.md or the tool's own doc page.
+#      docs/CONFIGURATION.md or the tool's own doc page;
+#   4. the reverse of 2: every DLPROJ_* named in the first column of a
+#      docs/CONFIGURATION.md table appears in src/, tools/ or a
+#      CMakeLists.txt — a removed knob must leave the docs with its code.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -81,6 +84,20 @@ if [ -f "$conf" ]; then
         done < <(grep -ohE '"--[a-z][a-z-]*' "$tool_src" | tr -d '"' |
                  sort -u)
     done
+fi
+
+# --- 4. every documented knob still exists ----------------------------
+if [ -f "$conf" ]; then
+    while IFS= read -r knob; do
+        if ! grep -rq --include='*.cpp' --include='*.h' "$knob" src tools &&
+           ! find . -name CMakeLists.txt -not -path './build*' \
+                  -not -path './.git/*' -exec grep -q "$knob" {} + ; then
+            echo "STALE KNOB: $knob (documented in $conf, absent from" \
+                 "src/, tools/ and every CMakeLists.txt)"
+            fail=1
+        fi
+    done < <(awk -F'|' '/^\|/ { print $2 }' "$conf" |
+             grep -oE 'DLPROJ_[A-Z_]*[A-Z]' | sort -u)
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -4,7 +4,6 @@
 
 #include "analysis/implication.h"
 #include "gatesim/levelized.h"
-#include "support/env.h"
 
 namespace dlp::analysis {
 
@@ -292,12 +291,6 @@ AnalysisResult find_untestable(const netlist::Circuit& circuit,
     result.stats.implications = engine.implications();
     result.stats.learned = engine.learned();
     return result;
-}
-
-bool analysis_enabled_from_env() {
-    // Recognized off-spellings disable the pass; garbage throws
-    // support::EnvError instead of silently leaving it on.
-    return support::env_flag("DLPROJ_ANALYSIS", true);
 }
 
 }  // namespace dlp::analysis

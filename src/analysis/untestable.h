@@ -75,9 +75,4 @@ AnalysisResult find_untestable(const netlist::Circuit& circuit,
                                std::span<const gatesim::StuckAtFault> faults,
                                const AnalysisOptions& options = {});
 
-/// The DLPROJ_ANALYSIS kill switch: returns false when the environment
-/// variable is set to 0/off/false, true otherwise (mirrors
-/// lint::lint_enabled_from_env for DLPROJ_LINT).
-bool analysis_enabled_from_env();
-
 }  // namespace dlp::analysis

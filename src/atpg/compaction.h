@@ -23,7 +23,7 @@ struct CompactionResult {
 };
 
 /// `engine` selects the grading fault-sim engine (sim::resolve_engine
-/// semantics: "" = DLPROJ_ENGINE, else the registry default).
+/// semantics: "" = the default engine).
 CompactionResult compact_reverse(
     const netlist::Circuit& circuit,
     std::span<const gatesim::StuckAtFault> faults,

@@ -62,9 +62,6 @@ TestGenResult generate_test_set(const Circuit& circuit,
     sim::Session& sim = *session;
     gatesim::RandomPatternGenerator rng(options.seed);
     const support::RunBudget& budget = options.budget;
-    const int backtrack_limit = budget.atpg_backtracks > 0
-                                    ? budget.atpg_backtracks
-                                    : options.backtrack_limit;
 
     // Phase 1: random patterns until they stop paying off.  The budget is
     // enforced inside the simulator's apply(): only the applied prefix of a
@@ -130,8 +127,9 @@ TestGenResult generate_test_set(const Circuit& circuit,
                 result.stop = stop;
                 break;
             }
-            const auto res = podem.generate(sim.faults()[fi], backtrack_limit,
-                                            rng.next_word(), &budget);
+            const auto res =
+                podem.generate(sim.faults()[fi], options.backtrack_limit,
+                               rng.next_word(), &budget);
             DLP_OBS_ADD(c_targets, 1);
             DLP_OBS_ADD(c_backtracks, res.backtracks);
             DLP_OBS_ADD(c_implications, res.implications);
@@ -280,7 +278,8 @@ TestGenResult generate_test_set(const Circuit& circuit,
                     for (int attempt = 0; attempt < kFutileAttempts;
                          ++attempt) {
                         const auto res =
-                            podem.generate(sim.faults()[fi], backtrack_limit,
+                            podem.generate(sim.faults()[fi],
+                                           options.backtrack_limit,
                                            rng.next_word(), &budget);
                         if (res.stop != support::StopReason::None) {
                             result.stop = res.stop;

@@ -46,7 +46,7 @@ struct TestGenOptions {
     std::uint64_t seed = 1;
     int backtrack_limit = 4096;
     /// Fault-sim engine for the embedded grading (sim::resolve_engine:
-    /// "" = DLPROJ_ENGINE, else the registry default).
+    /// "" = the default engine).
     std::string engine;
     /// Worker count for the embedded fault simulation (0 = default).
     parallel::ParallelOptions parallel;
@@ -60,8 +60,7 @@ struct TestGenOptions {
     NDetectMix ndetect_mix = NDetectMix::Mixed;
     /// Bounded-execution limits.  The cancel token / deadline are checked
     /// between random blocks, between target faults, and at every PODEM
-    /// backtrack; `budget.max_vectors` caps the generated sequence and
-    /// `budget.atpg_backtracks` (when > 0) overrides `backtrack_limit`.
+    /// backtrack; `budget.max_vectors` caps the generated sequence.
     support::RunBudget budget;
     /// Statically proven-untestable marks (parallel to the fault list;
     /// empty = no static analysis).  Marked faults are recorded Redundant

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/untestable.h"
 #include "extract/rules_parser.h"
 #include "lint/checks.h"
 #include "model/defect_stats_model.h"
@@ -36,7 +35,7 @@ struct CellKeys {
 CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
                    const std::string& bench_hash,
                    const std::string& rules_hash,
-                   const atpg::TestGenOptions& atpg, bool analysis,
+                   const atpg::TestGenOptions& atpg,
                    const std::string& defect_stats) {
     CellKeys k;
     {
@@ -73,7 +72,7 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
         // Likewise for the untestability analysis: marks change the test
         // set (proven faults settle Redundant), so only analysis cells key
         // on it and classic cells keep hitting pre-existing caches.
-        if (analysis) o << "analysis on\n";
+        if (cell.analysis) o << "analysis on\n";
         k.tests = o.str();
     }
     {
@@ -96,7 +95,7 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
     return k;
 }
 
-CellResult make_cell_result(const Cell& cell, bool analysis,
+CellResult make_cell_result(const Cell& cell,
                             const flow::ExperimentResult& r) {
     CellResult c;
     c.index = cell.index;
@@ -119,11 +118,11 @@ CellResult make_cell_result(const Cell& cell, bool analysis,
     c.ndetect_mean = r.ndetect.mean_detections;
     c.worst_case_coverage = r.ndetect.worst_case_coverage;
     c.avg_case_coverage = r.ndetect.avg_case_coverage;
-    c.analysis = analysis;
+    c.analysis = cell.analysis;
     // Only analysis cells carry the raw figures: ProposedFit defaults are
     // not zero, and copying them into an off cell would make a fresh cell
     // differ from a cache-parsed v1 cell.
-    if (analysis) {
+    if (cell.analysis) {
         c.untestable_faults = r.untestable_faults;
         c.fit_raw_r = r.fit_raw.r;
         c.fit_raw_theta_max = r.fit_raw.theta_max;
@@ -226,11 +225,6 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
     atpg::TestGenOptions atpg_opts = variant.options;
     atpg_opts.seed = cell.seed;
     atpg_opts.ndetect = cell.ndetect;
-    // The DLPROJ_ANALYSIS kill switch applies BEFORE keying: with the
-    // stage disabled the cell computes — and must cache — as a classic
-    // cell, not poison the analysis-keyed artifacts with unanalyzed data.
-    const bool analysis_on =
-        cell.analysis && analysis::analysis_enabled_from_env();
     model::DefectStatsModel backend;
     try {
         backend = model::parse_defect_stats(cell.defect_stats);
@@ -240,7 +234,7 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
     const std::string bench_hash = hex64(fnv1a64(netlist::to_bench(circuit)));
     const std::string rules_hash = hex64(fnv1a64(extract::to_rules(defects)));
     const CellKeys keys =
-        make_keys(spec_, cell, bench_hash, rules_hash, atpg_opts, analysis_on,
+        make_keys(spec_, cell, bench_hash, rules_hash, atpg_opts,
                   backend.describe());
 
     // Whole-cell hit: skip everything.
@@ -276,7 +270,7 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
     opt.budget = options_.budget;
     opt.budget.max_vectors = spec_.max_vectors;
     opt.lint_enabled = spec_.lint;
-    opt.analysis = analysis_on;
+    opt.analysis = cell.analysis;
     opt.defect_stats = backend;
     flow::ExperimentRunner runner(std::move(circuit), std::move(opt));
     runner.set_progress(options_.progress);
@@ -285,7 +279,7 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
     // artifact goes in first: inject_analysis drops downstream artifacts,
     // so injecting it after the test set would discard the test set.
     bool analysis_injected = false;
-    if (analysis_on) {
+    if (cell.analysis) {
         if (auto hit = store.get("analysis", keys.analysis)) {
             try {
                 runner.inject_analysis(parse_analysis(*hit));
@@ -341,7 +335,7 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
         // fit() reads its counters for the cell result, and recomputing
         // (or re-hitting) it keeps a partially warm cell byte-identical
         // to a cold one.
-        if (analysis_on) {
+        if (cell.analysis) {
             const flow::ExperimentRunner::AnalysisData& a = runner.analyze();
             if (is_campaign_stop(a.stop)) {
                 rep.stats.stop = a.stop;
@@ -371,7 +365,7 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
             rep.stats.stop = res.interruption->reason;
             return false;
         }
-        CellResult r = make_cell_result(cell, analysis_on, res);
+        CellResult r = make_cell_result(cell, res);
         store.put("cell", keys.cell, serialize_cell(r));
         rep.cells.push_back(std::move(r));
         return true;

@@ -36,18 +36,6 @@ std::string ref_name(const NetRef& r) { return cell::net_ref_name(r); }
 
 }  // namespace
 
-const char* fault_kind_name(ExtractedFault::Kind kind) {
-    switch (kind) {
-        case ExtractedFault::Kind::Bridge: return "bridge";
-        case ExtractedFault::Kind::TransistorOpen: return "transistor-open";
-        case ExtractedFault::Kind::GateFloat: return "gate-float";
-        case ExtractedFault::Kind::NetOpen: return "net-open";
-        case ExtractedFault::Kind::PoFloat: return "po-float";
-        case ExtractedFault::Kind::Gross: return "gross";
-    }
-    return "?";
-}
-
 double ExtractionResult::yield() const { return std::exp(-total_weight); }
 
 std::vector<double> ExtractionResult::weights() const {

@@ -71,6 +71,4 @@ ExtractionResult extract_faults(const layout::ChipLayout& chip,
                                 const DefectStatistics& stats,
                                 const ExtractOptions& options = {});
 
-const char* fault_kind_name(ExtractedFault::Kind kind);
-
 }  // namespace dlp::extract

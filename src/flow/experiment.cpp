@@ -129,21 +129,7 @@ std::vector<size_t> sample_indices(size_t n) {
 
 ExperimentRunner::ExperimentRunner(netlist::Circuit circuit,
                                    ExperimentOptions options)
-    : circuit_(std::move(circuit)), options_(std::move(options)) {
-    // Process-wide default wall-clock budget for runs that set none.
-    if (!options_.budget.deadline.active()) {
-        const long long ms = support::env_deadline_ms();
-        if (ms > 0)
-            options_.budget.deadline = support::Deadline::after_ms(ms);
-    }
-    // DLPROJ_LINT=0/off turns the static-analysis gate off process-wide;
-    // an explicit lint_enabled=false in the options always wins.
-    if (options_.lint_enabled)
-        options_.lint_enabled = lint::lint_enabled_from_env();
-    // DLPROJ_ANALYSIS=0/off disables the untestability stage the same way.
-    if (options_.analysis)
-        options_.analysis = analysis::analysis_enabled_from_env();
-}
+    : circuit_(std::move(circuit)), options_(std::move(options)) {}
 
 lint::LintReport ExperimentRunner::lint_report() const {
     lint::LintReport merged;

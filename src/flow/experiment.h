@@ -35,9 +35,9 @@ using ProgressFn = parallel::ProgressFn;
 struct ExperimentOptions {
     double target_yield = 0.75;  ///< scale weights to this Y (0 = no scaling)
     /// Fault-sim engine for both simulators, resolved through the
-    /// sim::Engine registry ("" = DLPROJ_ENGINE, else the registry
-    /// default).  Engines are bit-identical, so this is a pure performance
-    /// knob — it never changes any result.
+    /// sim::Engine registry ("" = the default engine).  Engines are
+    /// bit-identical, so this is a pure performance knob — it never
+    /// changes any result.
     std::string engine;
     atpg::TestGenOptions atpg;
     extract::DefectStatistics defects =
@@ -51,13 +51,12 @@ struct ExperimentOptions {
     /// Results are bit-identical for any worker count.
     parallel::ParallelOptions parallel;
     /// Bounded execution for the whole run: cancel token, wall-clock
-    /// deadline, vector cap, ATPG backtrack override.  Checked at every
+    /// deadline, vector cap.  Checked at every
     /// stage boundary and inside the long stages (ATPG, both fault
     /// simulators).  A stopped run still yields an ExperimentResult whose
     /// curves are bit-identical prefixes of the unbounded run's;
     /// ExperimentResult::interruption says which stage stopped and how far
-    /// it got.  When no deadline is set, the DLPROJ_DEADLINE_MS environment
-    /// variable (milliseconds) supplies a process-wide default.
+    /// it got.
     support::RunBudget budget;
     /// Static-analysis gate (src/lint): prepare() lints the circuit and
     /// the defect rule deck, generate_tests() cross-validates the
@@ -65,8 +64,7 @@ struct ExperimentOptions {
     /// lint::LintError and cache a diagnostics-carrying ExperimentResult
     /// (fit()/run() return it); warnings are recorded on
     /// ExperimentResult::lint and counted through src/obs (lint.errors /
-    /// lint.warnings / lint.infos).  DLPROJ_LINT=0/off disables the gate
-    /// process-wide when this flag is left true.
+    /// lint.warnings / lint.infos).  false skips the gate.
     bool lint_enabled = true;
     lint::LintOptions lint;  ///< suppression string + check thresholds
     /// Static untestability analysis (src/analysis): when true, an
@@ -76,8 +74,7 @@ struct ExperimentOptions {
     /// ATPG (no PODEM targeting, no simulation), so t_curve becomes the
     /// testability-corrected curve; the uncorrected curve and its fit are
     /// reported alongside (t_curve_raw / fit_raw / dl_vs_t_raw) to expose
-    /// the paper's silent bias.  DLPROJ_ANALYSIS=0/off disables the stage
-    /// process-wide when this flag is left true.
+    /// the paper's silent bias.
     bool analysis = false;
     /// Knobs for the analysis stage (its budget is overridden by `budget`).
     analysis::AnalysisOptions analysis_options;

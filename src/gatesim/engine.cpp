@@ -1,8 +1,6 @@
 #include "gatesim/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,23 +50,6 @@ std::vector<std::size_t> Session::undetected() const {
     for (std::size_t i = 0; i < table.size(); ++i)
         if (table[i] < 0) out.push_back(i);
     return out;
-}
-
-// Base-class n-detection defaults: a target of 1, with the count table
-// derived from the first-detection table, so engines that only support the
-// classic drop-on-first-detection behavior need no override.
-
-std::vector<int> Session::detection_counts() const {
-    const auto table = first_detected_at();
-    std::vector<int> counts(table.size(), 0);
-    for (std::size_t i = 0; i < table.size(); ++i)
-        if (table[i] >= 0) counts[i] = 1;
-    return counts;
-}
-
-std::vector<int> Session::nth_detected_at() const {
-    const auto table = first_detected_at();
-    return std::vector<int>(table.begin(), table.end());
 }
 
 std::size_t Session::fully_detected_count() const {
@@ -246,49 +227,29 @@ public:
 
 // ---- Registry -------------------------------------------------------------
 
-struct Registry {
-    std::mutex mu;
-    std::vector<std::unique_ptr<Engine>> engines;
-
-    Registry() {
-        engines.push_back(std::make_unique<NaiveEngine>());
-        engines.push_back(std::make_unique<LevelizedEngine>());
-    }
-};
-
-Registry& registry() {
-    static Registry r;  // thread-safe init registers the builtins
-    return r;
+/// The built-in engines, in order.  The table is immutable after its
+/// thread-safe static initialization, so lookups need no lock.
+const std::vector<std::unique_ptr<Engine>>& registry() {
+    static const std::vector<std::unique_ptr<Engine>> engines = [] {
+        std::vector<std::unique_ptr<Engine>> v;
+        v.push_back(std::make_unique<NaiveEngine>());
+        v.push_back(std::make_unique<LevelizedEngine>());
+        return v;
+    }();
+    return engines;
 }
 
 }  // namespace
 
-void register_engine(std::unique_ptr<Engine> engine) {
-    if (!engine) throw std::invalid_argument("register_engine: null engine");
-    Registry& r = registry();
-    const std::scoped_lock lock(r.mu);
-    for (const auto& e : r.engines)
-        if (e->name() == engine->name())
-            throw std::invalid_argument(
-                "register_engine: duplicate engine name '" +
-                std::string(engine->name()) + "'");
-    r.engines.push_back(std::move(engine));
-}
-
 std::vector<std::string_view> engine_names() {
-    Registry& r = registry();
-    const std::scoped_lock lock(r.mu);
     std::vector<std::string_view> names;
-    names.reserve(r.engines.size());
-    for (const auto& e : r.engines) names.push_back(e->name());
+    for (const auto& e : registry()) names.push_back(e->name());
     return names;
 }
 
 const Engine* find_engine(std::string_view name) {
-    Registry& r = registry();
-    const std::scoped_lock lock(r.mu);
-    for (const auto& e : r.engines)
-        if (e->name() == name) return e.get();  // engines are never removed
+    for (const auto& e : registry())
+        if (e->name() == name) return e.get();
     return nullptr;
 }
 
@@ -302,10 +263,7 @@ const Engine& engine(std::string_view name) {
 }
 
 const Engine& resolve_engine(std::string_view name) {
-    if (!name.empty()) return engine(name);
-    if (const char* env = std::getenv("DLPROJ_ENGINE"); env && *env)
-        return engine(env);
-    return engine(kDefaultEngine);
+    return engine(name.empty() ? kDefaultEngine : name);
 }
 
 }  // namespace dlp::sim

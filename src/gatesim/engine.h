@@ -4,7 +4,7 @@
 // levelized bit-parallel engine).  Every layer that grades stuck-at
 // coverage — ATPG test generation, vector compaction, the experiment flow,
 // campaigns, the CLIs — selects its simulator through ONE interface: a
-// named `Engine` in a process-wide registry opens a `Session` bound to
+// named `Engine` in a constant process-wide table opens a `Session` bound to
 // (circuit, fault list), and the session applies test vectors under the
 // standard budget/cancellation contract.
 //
@@ -19,8 +19,9 @@
 //
 // Selection resolves in one place (resolve_engine): an explicit name
 // (campaign spec `engine =` key, dlproj_campaign --engine, an options
-// field) wins, else the DLPROJ_ENGINE environment variable, else the
-// default ("levelized").  Unknown names throw with the registered list.
+// field) wins, else the default ("levelized").  Unknown names throw with
+// the registered list.  The table is immutable, so every lookup is safe
+// from concurrent callers.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +67,8 @@ struct SessionOptions {
 ///     number of blocks and everything recorded is a bit-identical prefix
 ///     of the unbounded run (see support/cancel.h).
 ///   * Results are independent of the worker count.
-///   * first_detected_at() — and, for engines that support n-detection,
-///     detection_counts() / nth_detected_at() — are bit-identical across
-///     engines.
+///   * first_detected_at(), detection_counts() and nth_detected_at() are
+///     bit-identical across engines.
 class Session {
 public:
     virtual ~Session() = default;
@@ -93,21 +93,20 @@ public:
     }
 
     // ---- n-detection accounting ------------------------------------------
-    // Defaults implement the classic target of 1, derived from the first-
-    // detection table, so single-detection engines need no override.
+    // Every engine keeps its own count table (SessionOptions::ndetect).
 
     /// The session's n-detection target (SessionOptions::ndetect).
-    virtual int ndetect_target() const { return 1; }
+    virtual int ndetect_target() const = 0;
 
     /// Per fault: number of detecting vector positions seen so far,
     /// saturated at ndetect_target().  Monotone in the applied prefix and
     /// (for a fixed sequence) in the target n.
-    virtual std::vector<int> detection_counts() const;
+    virtual std::vector<int> detection_counts() const = 0;
 
     /// Per fault: 1-based index of the vector at which the detection count
     /// reached ndetect_target(); -1 while still below target.  Equals
     /// first_detected_at() when the target is 1.
-    virtual std::vector<int> nth_detected_at() const;
+    virtual std::vector<int> nth_detected_at() const = 0;
 
     // Derived accessors, computed from the detection table so every engine
     // shares one definition.
@@ -165,15 +164,10 @@ public:
         SessionOptions options = {}) const = 0;
 };
 
-/// Registry default when neither an explicit name nor DLPROJ_ENGINE is set.
+/// The engine used when no explicit name is given.
 inline constexpr std::string_view kDefaultEngine = "levelized";
 
-/// Registers an engine; throws std::invalid_argument on a duplicate name.
-/// The built-in engines (naive, levelized) are registered on first
-/// registry access.
-void register_engine(std::unique_ptr<Engine> engine);
-
-/// Registered engine names, in registration order (built-ins first).
+/// Registered engine names, in table order: naive, levelized.
 std::vector<std::string_view> engine_names();
 
 /// The engine registered under `name`; nullptr when unknown.
@@ -183,9 +177,8 @@ const Engine* find_engine(std::string_view name);
 /// the registered engines when unknown.
 const Engine& engine(std::string_view name);
 
-/// One-stop selection: a non-empty `name` wins, else the DLPROJ_ENGINE
-/// environment variable, else kDefaultEngine.  Throws like engine() on an
-/// unknown name (including an unknown DLPROJ_ENGINE value).
+/// One-stop selection: a non-empty `name` wins, else kDefaultEngine.
+/// Throws like engine() on an unknown name.
 const Engine& resolve_engine(std::string_view name = {});
 
 }  // namespace dlp::sim

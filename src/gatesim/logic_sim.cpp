@@ -51,12 +51,4 @@ std::vector<bool> simulate(const Circuit& circuit, const Vector& vector) {
     return values;
 }
 
-std::vector<std::uint64_t> output_words(
-    const Circuit& circuit, std::span<const std::uint64_t> net_words) {
-    std::vector<std::uint64_t> out;
-    out.reserve(circuit.outputs().size());
-    for (NetId po : circuit.outputs()) out.push_back(net_words[po]);
-    return out;
-}
-
 }  // namespace dlp::gatesim

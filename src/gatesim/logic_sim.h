@@ -35,8 +35,4 @@ std::vector<std::uint64_t> simulate_block(const Circuit& circuit,
 /// net.
 std::vector<bool> simulate(const Circuit& circuit, const Vector& vector);
 
-/// Extracts primary-output values (one word per PO) from a net-word table.
-std::vector<std::uint64_t> output_words(
-    const Circuit& circuit, std::span<const std::uint64_t> net_words);
-
 }  // namespace dlp::gatesim

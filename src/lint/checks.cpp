@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "atpg/scoap.h"
-#include "support/env.h"
 
 namespace dlp::lint {
 
@@ -562,12 +561,6 @@ void lint_redundant_logic(const netlist::Circuit& circuit,
 LintReport make_report(const DiagnosticEngine& engine) {
     return {engine.diagnostics(), engine.errors(), engine.warnings(),
             engine.infos(), engine.suppressed()};
-}
-
-bool lint_enabled_from_env() {
-    // Recognized off-spellings disable the gate; garbage ("fale", "-1")
-    // throws support::EnvError instead of silently leaving the gate on.
-    return support::env_flag("DLPROJ_LINT", true);
 }
 
 }  // namespace dlp::lint

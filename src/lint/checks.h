@@ -113,8 +113,4 @@ private:
     LintReport report_;
 };
 
-/// The DLPROJ_LINT environment knob: "0"/"off"/"false" (any case) disable
-/// the flow-level lint gate; anything else (or unset) leaves it on.
-bool lint_enabled_from_env();
-
 }  // namespace dlp::lint

@@ -154,11 +154,4 @@ std::vector<std::string> Circuit::validate() const {
     return problems;
 }
 
-std::vector<std::size_t> Circuit::type_histogram() const {
-    std::vector<std::size_t> hist(
-        static_cast<std::size_t>(GateType::Xnor) + 1, 0);
-    for (const Gate& g : gates_) ++hist[static_cast<std::size_t>(g.type)];
-    return hist;
-}
-
 }  // namespace dlp::netlist

@@ -85,9 +85,6 @@ public:
     /// arities valid.  Returns a list of violations (empty = clean).
     std::vector<std::string> validate() const;
 
-    /// Gate count per type, indexed by static_cast<size_t>(GateType).
-    std::vector<std::size_t> type_histogram() const;
-
 private:
     std::string name_;
     std::vector<Gate> gates_;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/json_quote.h"
+
 namespace dlp::service {
 
 Json Json::boolean(bool b) {
@@ -346,32 +348,6 @@ Json parse_json(std::string_view text, int max_depth) {
 
 // ---- writer ---------------------------------------------------------------
 
-std::string json_quote(std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned char>(c));
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 namespace {
 
 void write_value(const Json& v, std::string& out) {
@@ -394,7 +370,9 @@ void write_value(const Json& v, std::string& out) {
             }
             break;
         }
-        case Json::Type::String: out += json_quote(v.as_string()); break;
+        case Json::Type::String:
+            out += support::json_quote(v.as_string());
+            break;
         case Json::Type::Array: {
             out.push_back('[');
             bool first = true;
@@ -412,7 +390,7 @@ void write_value(const Json& v, std::string& out) {
             for (const auto& [key, value] : v.members()) {
                 if (!first) out.push_back(',');
                 first = false;
-                out += json_quote(key);
+                out += support::json_quote(key);
                 out.push_back(':');
                 write_value(value, out);
             }

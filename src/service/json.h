@@ -89,7 +89,4 @@ Json parse_json(std::string_view text, int max_depth = 64);
 /// order, numbers in shortest round-trip form.
 std::string write_json(const Json& value);
 
-/// Escapes `s` as a JSON string literal including the quotes.
-std::string json_quote(std::string_view s);
-
 }  // namespace dlp::service

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "model/defect_stats_model.h"
+#include "support/json_quote.h"
 
 namespace dlp::service {
 
@@ -146,8 +147,8 @@ std::string request_json(const Request& r) {
 namespace {
 
 std::string reply_head(std::string_view event, const std::string& id) {
-    std::string out = "{\"event\":" + json_quote(event);
-    out += ",\"id\":" + json_quote(id);
+    std::string out = "{\"event\":" + support::json_quote(event);
+    out += ",\"id\":" + support::json_quote(id);
     return out;
 }
 
@@ -162,7 +163,7 @@ void append_docs(std::string& out, const std::string& body,
 std::string progress_json(const std::string& id, std::string_view stage,
                           std::size_t done, std::size_t total) {
     std::string out = reply_head("progress", id);
-    out += ",\"stage\":" + json_quote(stage);
+    out += ",\"stage\":" + support::json_quote(stage);
     out += ",\"done\":" + std::to_string(done);
     out += ",\"total\":" + std::to_string(total);
     out += "}";
@@ -183,7 +184,7 @@ std::string result_cancelled_json(const std::string& id,
                                   const std::string& body,
                                   const std::string& stats) {
     std::string out = reply_head("result", id);
-    out += ",\"status\":\"cancelled\",\"stop\":" + json_quote(stop);
+    out += ",\"status\":\"cancelled\",\"stop\":" + support::json_quote(stop);
     append_docs(out, body, stats);
     out += "}";
     return out;
@@ -194,7 +195,7 @@ std::string result_shed_json(const std::string& id, long long retry_after_ms,
     std::string out = reply_head("result", id);
     out += ",\"status\":\"shed\",\"retry_after_ms\":" +
            std::to_string(retry_after_ms);
-    out += ",\"error\":" + json_quote(why);
+    out += ",\"error\":" + support::json_quote(why);
     out += "}";
     return out;
 }
@@ -202,7 +203,7 @@ std::string result_shed_json(const std::string& id, long long retry_after_ms,
 std::string result_error_json(const std::string& id,
                               const std::string& message) {
     std::string out = reply_head("result", id);
-    out += ",\"status\":\"error\",\"error\":" + json_quote(message);
+    out += ",\"status\":\"error\",\"error\":" + support::json_quote(message);
     out += "}";
     return out;
 }

@@ -10,7 +10,6 @@
 #include "gatesim/engine.h"
 #include "model/defect_stats_model.h"
 #include "obs/telemetry.h"
-#include "support/env.h"
 
 namespace dlp::service {
 
@@ -23,25 +22,6 @@ constexpr int kWatchdogPollMs = 20;
 constexpr int kLingerSliceMs = 5;
 
 }  // namespace
-
-ServiceConfig config_from_env() {
-    ServiceConfig cfg;
-    cfg.socket_path = support::env_str("DLPROJ_SERVE_SOCKET");
-    cfg.workers = static_cast<int>(
-        support::env_int("DLPROJ_SERVE_WORKERS", cfg.workers, 1, 64));
-    cfg.queue_max = static_cast<std::size_t>(support::env_int(
-        "DLPROJ_SERVE_QUEUE_MAX", static_cast<long long>(cfg.queue_max), 1,
-        4096));
-    cfg.drain_ms = support::env_int("DLPROJ_SERVE_DRAIN_MS", cfg.drain_ms, 0,
-                                    1ll << 40);
-    // One knob, two guards: requests without a deadline get this one, and
-    // requests asking for more are clamped to it.
-    cfg.default_deadline_ms = support::env_int(
-        "DLPROJ_SERVE_DEADLINE_MS", cfg.default_deadline_ms, 0, 1ll << 40);
-    cfg.max_deadline_ms = cfg.default_deadline_ms;
-    cfg.cache_dir = campaign::env_cache_dir();
-    return cfg;
-}
 
 Service::Service(ServiceConfig config) : config_(std::move(config)) {
     if (config_.workers < 1) config_.workers = 1;
@@ -342,10 +322,11 @@ namespace {
 
 support::Deadline make_deadline(const Request& request,
                                 const ServiceConfig& cfg) {
+    // One setting, two guards: requests without a deadline get the
+    // server's, and requests asking for more are clamped to it.
     long long ms = request.deadline_ms;
-    if (ms <= 0) ms = cfg.default_deadline_ms;
-    if (cfg.max_deadline_ms > 0)
-        ms = ms > 0 ? std::min(ms, cfg.max_deadline_ms) : cfg.max_deadline_ms;
+    if (cfg.deadline_ms > 0 && (ms <= 0 || ms > cfg.deadline_ms))
+        ms = cfg.deadline_ms;
     return ms > 0 ? support::Deadline::after_ms(ms) : support::Deadline();
 }
 

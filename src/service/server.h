@@ -10,7 +10,8 @@
 //     bound.  Shedding costs one small frame; the expensive work never
 //     starts.
 //   * Deadlines — every request runs under a RunBudget whose deadline
-//     comes from its envelope (clamped by the server's max); a watchdog
+//     comes from its envelope (clamped by, or defaulting to, the server's
+//     deadline_ms); a watchdog
 //     thread additionally trips the cancel token of any run that outlives
 //     its deadline, so even code paths between cooperative checks get
 //     reined in.  Over-deadline requests answer "cancelled" with the
@@ -58,8 +59,9 @@ struct ServiceConfig {
     std::string socket_path;
     int workers = 2;              ///< executor threads
     std::size_t queue_max = 16;   ///< admission-queue bound
-    long long default_deadline_ms = 0;  ///< for envelopes without one (0 = none)
-    long long max_deadline_ms = 0;      ///< clamp on envelope deadlines (0 = none)
+    /// Deadline for envelopes without one, and the clamp on envelopes
+    /// that carry one (0 = none).
+    long long deadline_ms = 0;
     long long retry_after_ms = 50;      ///< shed-reply backpressure hint
     int io_timeout_ms = 5000;     ///< per-frame read/write bound
     long long drain_ms = 2000;    ///< grace for in-flight work in stop()
@@ -68,10 +70,6 @@ struct ServiceConfig {
     int cell_threads = 0;         ///< per-run worker threads (0 = default)
     std::size_t idempotency_capacity = 256;  ///< replay-cache bound
 };
-
-/// Config defaults from the DLPROJ_SERVE_* environment knobs (hardened
-/// parsing — garbage values throw support::EnvError) on top of DLPROJ_CACHE.
-ServiceConfig config_from_env();
 
 /// A stats() snapshot; mirrored by the `stats` op's reply body.
 struct ServiceStats {

@@ -1,9 +1,5 @@
 #include "support/cancel.h"
 
-#include <limits>
-
-#include "support/env.h"
-
 namespace dlp::support {
 
 std::string_view stop_reason_name(StopReason reason) {
@@ -15,15 +11,6 @@ std::string_view stop_reason_name(StopReason reason) {
         case StopReason::LintFailed: return "lint-failed";
     }
     return "unknown";
-}
-
-long long env_deadline_ms() {
-    // Read per call (not cached): each ExperimentRunner reads it once at
-    // construction, and tests toggle the variable between runs.  A garbage
-    // or negative value throws EnvError rather than silently running
-    // unbounded.
-    return env_int("DLPROJ_DEADLINE_MS", 0, 0,
-                   std::numeric_limits<long long>::max());
 }
 
 }  // namespace dlp::support

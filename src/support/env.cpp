@@ -6,53 +6,28 @@
 
 namespace dlp::support {
 
-namespace {
-
-[[noreturn]] void bad_value(const char* name, const std::string& value,
-                            const std::string& expected) {
-    throw EnvError(std::string(name) + ": invalid value \"" + value +
-                   "\" (expected " + expected + ")");
-}
-
-std::string range_text(long long min, long long max) {
-    return "an integer in [" + std::to_string(min) + ", " +
-           std::to_string(max) + "]";
-}
-
-}  // namespace
-
-long long env_int(const char* name, long long fallback, long long min,
-                  long long max) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    const std::string value(raw);
+long long parse_int(const char* name, const std::string& text, long long min,
+                    long long max) {
+    const char* raw = text.c_str();
     errno = 0;
     char* end = nullptr;
     const long long v = std::strtoll(raw, &end, 10);
     // Reject trailing junk ("100ms"), a bare sign, and leading whitespace
     // oddities strtoll tolerates but a config file should not.
     if (end == raw || *end != '\0' ||
-        std::isspace(static_cast<unsigned char>(raw[0])))
-        bad_value(name, value, range_text(min, max));
-    if (errno == ERANGE || v < min || v > max)
-        bad_value(name, value, range_text(min, max));
+        std::isspace(static_cast<unsigned char>(raw[0])) || errno == ERANGE ||
+        v < min || v > max)
+        throw EnvError(std::string(name) + ": invalid value \"" + text +
+                       "\" (expected an integer in [" + std::to_string(min) +
+                       ", " + std::to_string(max) + "])");
     return v;
 }
 
-bool env_flag(const char* name, bool fallback) {
+long long env_int(const char* name, long long fallback, long long min,
+                  long long max) {
     const char* raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0') return fallback;
-    std::string s(raw);
-    for (char& c : s)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (s == "1" || s == "on" || s == "true" || s == "yes") return true;
-    if (s == "0" || s == "off" || s == "false" || s == "no") return false;
-    bad_value(name, raw, "one of 1/on/true/yes or 0/off/false/no");
-}
-
-std::string env_str(const char* name, const std::string& fallback) {
-    const char* raw = std::getenv(name);
-    return raw ? std::string(raw) : fallback;
+    return parse_int(name, raw, min, max);
 }
 
 }  // namespace dlp::support

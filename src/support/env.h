@@ -1,13 +1,12 @@
-// Hardened environment-knob parsing.
+// Hardened integer parsing for environment knobs and command-line flags.
 //
-// Every DLPROJ_* knob that used to be read with atoi()-and-hope goes
-// through these helpers instead: an unset (or empty) variable yields the
-// documented default, a well-formed value in range is returned, and
-// *anything else* — garbage text, trailing junk, negative values where the
-// knob is a count, overflow — throws EnvError with a diagnostic naming the
-// variable, the offending value, and the accepted range.  Silent
-// defaulting on a typo ("DLPROJ_THREADS=1O") is exactly how a production
-// deployment ends up running single-threaded for a month.
+// Every DLPROJ_* knob and numeric tool flag goes through parse_int: a
+// well-formed value in range is returned, and *anything else* — garbage
+// text, trailing junk, negative values where the setting is a count,
+// overflow — throws EnvError with a diagnostic naming the setting, the
+// offending value, and the accepted range.  Silent defaulting on a typo
+// ("DLPROJ_THREADS=1O") is exactly how a production deployment ends up
+// running single-threaded for a month.
 //
 // Thread-safety: getenv() is safe against concurrent getenv(); callers
 // must not setenv() concurrently with a run (the same contract the rest of
@@ -19,26 +18,23 @@
 
 namespace dlp::support {
 
-/// A malformed environment variable.  what() is a complete diagnostic:
+/// A malformed setting.  what() is a complete diagnostic:
 ///   DLPROJ_THREADS: invalid value "1O" (expected an integer in [0, 256])
 class EnvError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
 
-/// Reads integer knob `name`.  Unset or empty -> `fallback`.  A value that
-/// is not a plain base-10 integer, has trailing junk, overflows long long,
-/// or falls outside [min, max] throws EnvError.
+/// Parses `text` as the value of setting `name` (an environment variable
+/// or a flag such as "--workers").  A value that is not a plain base-10
+/// integer, has trailing junk, overflows long long, or falls outside
+/// [min, max] throws EnvError.
+long long parse_int(const char* name, const std::string& text, long long min,
+                    long long max);
+
+/// Reads integer knob `name`.  Unset or empty -> `fallback`; otherwise
+/// parse_int.
 long long env_int(const char* name, long long fallback, long long min,
                   long long max);
-
-/// Reads boolean knob `name`.  Unset or empty -> `fallback`.  Accepted
-/// spellings (case-insensitive): 1/on/true/yes and 0/off/false/no; anything
-/// else throws EnvError.
-bool env_flag(const char* name, bool fallback);
-
-/// Reads string knob `name`; unset -> `fallback` (empty values are
-/// returned as-is — an empty string is a legal path override).
-std::string env_str(const char* name, const std::string& fallback = "");
 
 }  // namespace dlp::support

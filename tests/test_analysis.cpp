@@ -449,17 +449,5 @@ TEST(AnalysisFlow, PreCancelledBudgetReportsAnalysisInterruption) {
     EXPECT_EQ(r.interruption->reason, support::StopReason::Cancelled);
 }
 
-TEST(AnalysisFlow, EnvKillSwitchDisablesTheStage) {
-    ::setenv("DLPROJ_ANALYSIS", "off", 1);
-    const auto c = netlist::parse_bench(kAbsorption, "absorption.bench");
-    flow::ExperimentOptions opt;
-    opt.analysis = true;
-    flow::ExperimentRunner runner(c, opt);
-    const flow::ExperimentResult& r = runner.run();
-    ::unsetenv("DLPROJ_ANALYSIS");
-    EXPECT_EQ(r.untestable_faults, 0u);
-    EXPECT_TRUE(r.t_curve_raw.empty());
-}
-
 }  // namespace
 }  // namespace dlp

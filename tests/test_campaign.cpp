@@ -17,6 +17,7 @@
 #include "campaign/runner.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
+#include "service/json.h"
 
 namespace dlp::campaign {
 namespace {
@@ -333,6 +334,25 @@ TEST(CampaignCache, UncachedRunsMatchCachedContent) {
     EXPECT_EQ(report_json(a), report_json(b));
 }
 
+TEST(CampaignReport, ControlCharactersInNamesStayValidJson) {
+    // A tab and a raw \x01 in the spec name must come out escaped: the
+    // report parses as strict JSON and returns the name unchanged.
+    const CampaignSpec spec = parse_campaign_spec(
+        "[campaign]\n"
+        "name = tab\there\x01"
+        "end\n"
+        "[grid]\n"
+        "circuits = c17\n"
+        "rules = uniform\n");
+    ASSERT_EQ(spec.name, "tab\there\x01" "end");
+    const std::string json = report_json(run_campaign(spec, {}));
+    const service::Json doc = service::parse_json(json);
+    ASSERT_NE(doc.get("campaign"), nullptr);
+    EXPECT_EQ(doc.get("campaign")->as_string(), spec.name);
+    EXPECT_NE(json.find("\"tab\\there\\u0001end\""), std::string::npos)
+        << json;
+}
+
 TEST(CampaignCache, EngineAgnosticKeysWarmAcrossEngines) {
     // Artifact keys deliberately exclude the engine: every registered
     // engine is bit-identical, so a cache warmed by `naive` must be hit —
@@ -371,7 +391,7 @@ TEST(CampaignSpec, EngineKeySelectsARegisteredEngine) {
     EXPECT_EQ(s.engine, "levelized");
     EXPECT_EQ(parse_campaign_spec("[grid]\ncircuits = c17\nrules = uniform\n")
                   .engine,
-              "");  // empty = DLPROJ_ENGINE / registry default
+              "");  // empty = the default engine
     EXPECT_THROW(parse_campaign_spec("[campaign]\n"
                                      "engine = warp9\n"
                                      "[grid]\n"
@@ -628,39 +648,6 @@ TEST(CampaignAnalysis, AxisGridSharesClassicCacheByteIdentically) {
     const CampaignReport rewarm = run_campaign(spec, cached_options(cache));
     EXPECT_EQ(rewarm.stats.cell_hits, 2u);
     EXPECT_EQ(report_json(rewarm), report_json(warm));
-}
-
-TEST(CampaignAnalysis, EnvKillSwitchCachesAsClassic) {
-    // DLPROJ_ANALYSIS=off is applied before cache keying, so a disabled
-    // analysis cell is the classic cell: same keys, same bytes — and no
-    // v3 artifacts are written that a later enabled run could mistake.
-    CampaignSpec spec = parse_campaign_spec(kSmallSpec);
-    spec.circuits = {write_redundant_bench("kill")};
-    spec.rules = {"uniform"};
-    spec.analysis = {1};
-    const std::string cache = scratch_dir("analysis_kill");
-
-    ::setenv("DLPROJ_ANALYSIS", "off", 1);
-    const CampaignReport off = run_campaign(spec, cached_options(cache));
-    ::unsetenv("DLPROJ_ANALYSIS");
-    EXPECT_EQ(off.stats.analysis_misses, 0u);
-    ASSERT_EQ(off.cells.size(), 1u);
-    EXPECT_FALSE(off.cells[0].analysis);
-    EXPECT_EQ(off.cells[0].untestable_faults, 0u);
-
-    // The same cache now serves a classic (no-axis) run byte-identically.
-    CampaignSpec classic = spec;
-    classic.analysis = {0};
-    const CampaignReport warm = run_campaign(classic, cached_options(cache));
-    EXPECT_EQ(warm.stats.cell_hits, 1u);
-
-    // With the switch back on, the enabled cell is a different key — a
-    // miss, not a stale classic hit.
-    const CampaignReport on = run_campaign(spec, cached_options(cache));
-    EXPECT_EQ(on.stats.cell_hits, 0u);
-    EXPECT_EQ(on.stats.cell_misses, 1u);
-    EXPECT_TRUE(on.cells[0].analysis);
-    EXPECT_GT(on.cells[0].untestable_faults, 0u);
 }
 
 TEST(CampaignDefectStats, SpecAxisParsesCanonicalizesAndEnumeratesInnermost) {

@@ -1,6 +1,6 @@
 // The engine differential suite (CTest label `engine`).
 //
-// Every engine registered with sim::register_engine promises bit-identical
+// Every engine in the sim::engine_names() table promises bit-identical
 // results: the same first-detection index per fault — hence byte-identical
 // coverage curves — for any vector sequence, worker count, and budget.
 // This suite enforces the promise against the naive scalar oracle over
@@ -63,32 +63,14 @@ TEST(EngineRegistry, UnknownNamesAreErrors) {
     }
 }
 
-TEST(EngineRegistry, DuplicateRegistrationThrows) {
-    class Fake : public sim::Engine {
-        std::string_view name() const override { return "levelized"; }
-        std::string_view description() const override { return "dup"; }
-        std::unique_ptr<sim::Session> open(
-            const Circuit&, std::vector<StuckAtFault>,
-            parallel::ParallelOptions, sim::SessionOptions) const override {
-            return nullptr;
-        }
-    };
-    EXPECT_THROW(sim::register_engine(std::make_unique<Fake>()),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::register_engine(nullptr), std::invalid_argument);
-}
-
 TEST(EngineRegistry, ResolutionPrecedence) {
-    // Explicit name > DLPROJ_ENGINE > kDefaultEngine.
-    ::unsetenv("DLPROJ_ENGINE");
+    // An explicit name wins; an empty name means kDefaultEngine.
     EXPECT_EQ(sim::resolve_engine().name(), sim::kDefaultEngine);
+    EXPECT_EQ(sim::kDefaultEngine, "levelized");
     EXPECT_EQ(sim::resolve_engine("naive").name(), "naive");
-    ::setenv("DLPROJ_ENGINE", "naive", 1);
-    EXPECT_EQ(sim::resolve_engine().name(), "naive");
     EXPECT_EQ(sim::resolve_engine("levelized").name(), "levelized");
-    ::setenv("DLPROJ_ENGINE", "no-such-engine", 1);
-    EXPECT_THROW(sim::resolve_engine(), std::invalid_argument);
-    ::unsetenv("DLPROJ_ENGINE");
+    EXPECT_THROW(sim::resolve_engine("no-such-engine"),
+                 std::invalid_argument);
 }
 
 // ---- the levelized compiler ----------------------------------------------

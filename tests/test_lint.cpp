@@ -648,14 +648,6 @@ TEST(FlowGate, DisableFlagSkipsTheGate) {
     EXPECT_TRUE(runner.lint_report().diagnostics.empty());
 }
 
-TEST(FlowGate, EnvKnobDisablesTheGate) {
-    ::setenv("DLPROJ_LINT", "off", 1);
-    flow::ExperimentRunner runner(circuit_with_dangling_gate());
-    ::unsetenv("DLPROJ_LINT");
-    EXPECT_NO_THROW(runner.prepare());
-    EXPECT_FALSE(runner.options().lint_enabled);
-}
-
 TEST(FlowGate, CleanRunRecordsEmptyReportOnResult) {
     flow::ExperimentOptions opts;
     opts.atpg.max_random = 64;

@@ -34,7 +34,6 @@
 #include "netlist/builders.h"
 #include "parallel/parallel_for.h"
 #include "support/cancel.h"
-#include "support/env.h"
 
 namespace dlp {
 namespace {
@@ -475,30 +474,6 @@ TEST(ExperimentBudget, ReportsHandleCurveLengthSkew) {
     EXPECT_NE(flow::curves_csv(r).find("0.05"), std::string::npos);
 }
 
-TEST(ExperimentBudget, AtpgBacktrackOverrideMatchesExplicitLimit) {
-    const netlist::Circuit c = netlist::techmap(netlist::build_ripple_adder(4));
-    const auto faults =
-        gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
-
-    atpg::TestGenOptions explicit_opts;
-    explicit_opts.max_random = 0;  // force every fault through PODEM
-    explicit_opts.backtrack_limit = 1;
-    const auto via_option = atpg::generate_test_set(c, faults, explicit_opts);
-
-    atpg::TestGenOptions override_opts;
-    override_opts.max_random = 0;
-    override_opts.backtrack_limit = 4096;      // would allow a deep search...
-    override_opts.budget.atpg_backtracks = 1;  // ...but the budget wins
-    const auto via_budget = atpg::generate_test_set(c, faults, override_opts);
-
-    EXPECT_EQ(via_budget.vectors, via_option.vectors);
-    EXPECT_EQ(via_budget.aborted, via_option.aborted);
-    EXPECT_EQ(via_budget.detected, via_option.detected);
-    EXPECT_EQ(via_budget.redundant, via_option.redundant);
-    EXPECT_EQ(via_budget.untargeted, 0u);
-    EXPECT_EQ(via_budget.stop, support::StopReason::None);
-}
-
 TEST(ExperimentBudget, CancelledAtpgRecordsUntargetedFaults) {
     const netlist::Circuit c = netlist::techmap(netlist::build_ripple_adder(4));
     const auto faults =
@@ -511,32 +486,6 @@ TEST(ExperimentBudget, CancelledAtpgRecordsUntargetedFaults) {
     EXPECT_EQ(r.untargeted, faults.size());
     EXPECT_TRUE(r.vectors.empty());
     for (auto s : r.status) EXPECT_EQ(s, atpg::FaultStatus::Undetected);
-}
-
-TEST(ExperimentBudget, EnvDeadlineSuppliesDefaultOnly) {
-    EXPECT_EQ(support::env_deadline_ms(), 0);
-    ::setenv("DLPROJ_DEADLINE_MS", "1500", 1);
-    EXPECT_EQ(support::env_deadline_ms(), 1500);
-    // Hardened parsing (support/env.h): garbage no longer silently
-    // disables the knob, it is diagnosed.
-    ::setenv("DLPROJ_DEADLINE_MS", "-5", 1);
-    EXPECT_THROW(support::env_deadline_ms(), support::EnvError);
-    ::setenv("DLPROJ_DEADLINE_MS", "junk", 1);
-    EXPECT_THROW(support::env_deadline_ms(), support::EnvError);
-
-    // A runner built with no deadline picks the env default up...
-    ::setenv("DLPROJ_DEADLINE_MS", "60000", 1);
-    flow::ExperimentRunner with_env(netlist::build_c17());
-    EXPECT_TRUE(with_env.options().budget.deadline.active());
-    // ...an explicit deadline is never overridden...
-    flow::ExperimentOptions opt;
-    opt.budget.deadline = support::Deadline::after_ms(5);
-    flow::ExperimentRunner with_own(netlist::build_c17(), opt);
-    EXPECT_TRUE(with_own.options().budget.deadline.active());
-    // ...and without the variable, no deadline is imposed.
-    ::unsetenv("DLPROJ_DEADLINE_MS");
-    flow::ExperimentRunner without(netlist::build_c17());
-    EXPECT_FALSE(without.options().budget.deadline.active());
 }
 
 }  // namespace

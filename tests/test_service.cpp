@@ -3,10 +3,12 @@
 // backoff policy, the artifact store's write-ahead journal + crash
 // recovery, the in-process daemon (admission control, deadlines,
 // idempotent replay, graceful drain), a multi-client soak through the
-// fault-injection proxy, and fork/exec crash tests that SIGKILL the real
-// binaries and assert byte-identical resume.
+// fault-injection proxy, fork/exec crash tests that SIGKILL the real
+// binaries and assert byte-identical resume, and dlproj_served's
+// numeric-flag range checks.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,19 +16,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/report.h"
 #include "campaign/runner.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
-#include "lint/checks.h"
 #include "parallel/parallel_for.h"
 #include "service/chaos.h"
 #include "service/client.h"
@@ -267,34 +270,6 @@ TEST(EnvKnobs, IntRejectsGarbageTrailingJunkAndOverflow) {
     }
 }
 
-TEST(EnvKnobs, FlagAcceptsDocumentedSpellingsOnly) {
-    EnvGuard g("DLPROJ_TEST_FLAG", nullptr);
-    EXPECT_TRUE(support::env_flag("DLPROJ_TEST_FLAG", true));
-    EXPECT_FALSE(support::env_flag("DLPROJ_TEST_FLAG", false));
-    for (const char* yes : {"1", "on", "TRUE", "Yes"}) {
-        ::setenv("DLPROJ_TEST_FLAG", yes, 1);
-        EXPECT_TRUE(support::env_flag("DLPROJ_TEST_FLAG", false)) << yes;
-    }
-    for (const char* no : {"0", "off", "False", "NO"}) {
-        ::setenv("DLPROJ_TEST_FLAG", no, 1);
-        EXPECT_FALSE(support::env_flag("DLPROJ_TEST_FLAG", true)) << no;
-    }
-    ::setenv("DLPROJ_TEST_FLAG", "maybe", 1);
-    EXPECT_THROW(support::env_flag("DLPROJ_TEST_FLAG", true),
-                 support::EnvError);
-}
-
-TEST(EnvKnobs, DeadlineMsKnobIsHardened) {
-    EnvGuard g("DLPROJ_DEADLINE_MS", nullptr);
-    EXPECT_EQ(support::env_deadline_ms(), 0);
-    ::setenv("DLPROJ_DEADLINE_MS", "250", 1);
-    EXPECT_EQ(support::env_deadline_ms(), 250);
-    for (const char* bad : {"banana", "-5", "12ms"}) {
-        ::setenv("DLPROJ_DEADLINE_MS", bad, 1);
-        EXPECT_THROW(support::env_deadline_ms(), support::EnvError) << bad;
-    }
-}
-
 TEST(EnvKnobs, ThreadsKnobIsHardened) {
     EnvGuard g("DLPROJ_THREADS", nullptr);
     ::setenv("DLPROJ_THREADS", "3", 1);
@@ -305,17 +280,6 @@ TEST(EnvKnobs, ThreadsKnobIsHardened) {
     }
     // An explicit request never consults the environment.
     EXPECT_EQ(parallel::resolve_threads(2), 2);
-}
-
-TEST(EnvKnobs, LintKnobIsHardened) {
-    EnvGuard g("DLPROJ_LINT", nullptr);
-    EXPECT_TRUE(lint::lint_enabled_from_env());
-    ::setenv("DLPROJ_LINT", "off", 1);
-    EXPECT_FALSE(lint::lint_enabled_from_env());
-    ::setenv("DLPROJ_LINT", "on", 1);
-    EXPECT_TRUE(lint::lint_enabled_from_env());
-    ::setenv("DLPROJ_LINT", "2", 1);
-    EXPECT_THROW(lint::lint_enabled_from_env(), support::EnvError);
 }
 
 // --- backoff -------------------------------------------------------------
@@ -607,8 +571,9 @@ TEST(Service, WatchdogCancelsARunPastItsDeadline) {
 TEST(Service, MaxDeadlineClampsAndDefaultApplies) {
     const std::string dir = scratch_dir("svc_clamp");
     service::ServiceConfig cfg = test_config(dir);
-    cfg.default_deadline_ms = 80;  // requests without a deadline get one
-    cfg.max_deadline_ms = 100;     // and nobody may ask for more
+    // Requests without a deadline get this one, and nobody may ask for
+    // more.
+    cfg.deadline_ms = 100;
     service::Service svc(cfg);
     svc.start();
 
@@ -620,7 +585,7 @@ TEST(Service, MaxDeadlineClampsAndDefaultApplies) {
     opt.max_attempts = 1;
     EXPECT_EQ(service::call_service(r, opt).status, "cancelled");
 
-    r.deadline_ms = 0;  // server default: 80 ms
+    r.deadline_ms = 0;  // server default: 100 ms
     EXPECT_EQ(service::call_service(r, opt).status, "cancelled");
     svc.stop();
 }
@@ -709,23 +674,6 @@ TEST(Service, ShutdownOpWakesTheDaemonLoop) {
     EXPECT_TRUE(service::call_service(r, opt).ok());
     daemon_main.join();
     EXPECT_FALSE(svc.running());
-}
-
-TEST(Service, ConfigFromEnvParsesAndRejects) {
-    EnvGuard s("DLPROJ_SERVE_SOCKET", "/tmp/x.sock");
-    EnvGuard w("DLPROJ_SERVE_WORKERS", "5");
-    EnvGuard q("DLPROJ_SERVE_QUEUE_MAX", "9");
-    EnvGuard d("DLPROJ_SERVE_DRAIN_MS", "1234");
-    EnvGuard m("DLPROJ_SERVE_DEADLINE_MS", "777");
-    EnvGuard c("DLPROJ_CACHE", nullptr);
-    service::ServiceConfig cfg = service::config_from_env();
-    EXPECT_EQ(cfg.socket_path, "/tmp/x.sock");
-    EXPECT_EQ(cfg.workers, 5);
-    EXPECT_EQ(cfg.queue_max, 9u);
-    EXPECT_EQ(cfg.drain_ms, 1234);
-    EXPECT_EQ(cfg.max_deadline_ms, 777);
-    ::setenv("DLPROJ_SERVE_WORKERS", "lots", 1);
-    EXPECT_THROW(service::config_from_env(), support::EnvError);
 }
 
 // --- soak: concurrent clients through the fault-injection proxy ----------
@@ -967,6 +915,52 @@ TEST(Crash, ServerKilledMidCampaignRecoversAndServesIdenticalResults) {
     EXPECT_EQ(warm_report.stats.store_corrupt, 0u);
     EXPECT_EQ(campaign::report_json(warm_report),
               reference_report(kCrashSpec));
+}
+
+TEST(ServedFlags, OutOfRangeNumericFlagsExitTwoBeforeBinding) {
+    const char* bin = std::getenv("DLPROJ_SERVED_BIN");
+    if (!bin) GTEST_SKIP() << "DLPROJ_SERVED_BIN not set (run via ctest)";
+
+    const std::string dir = scratch_dir("served_flags");
+    const std::string sock = dir + "/srv.sock";
+    const std::string err = dir + "/stderr.txt";
+    const std::string socket_arg = "--socket=" + sock;
+    const std::pair<const char*, const char*> cases[] = {
+        {"--workers=65", "[1, 64]"},
+        {"--workers=0", "[1, 64]"},
+        {"--workers=4x", "[1, 64]"},
+        {"--queue-max=0", "[1, 4096]"},
+    };
+    for (const auto& [arg, range] : cases) {
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            const int fd =
+                ::open(err.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+            if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) ::_exit(126);
+            ::execl(bin, bin, socket_arg.c_str(), "--quiet", arg,
+                    static_cast<char*>(nullptr));
+            ::_exit(127);
+        }
+        // A daemon that accepted the value would listen until signalled:
+        // give it 10 s, then kill it so the failure is reported, not hung.
+        int status = 0;
+        pid_t done = 0;
+        for (int i = 0; i < 1000 && done == 0; ++i) {
+            done = ::waitpid(pid, &status, WNOHANG);
+            if (done == 0) std::this_thread::sleep_for(10ms);
+        }
+        if (done == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+        }
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << arg;
+        const std::string message = slurp(err);
+        const std::string flag(arg, std::strchr(arg, '='));
+        EXPECT_NE(message.find(flag), std::string::npos) << message;
+        EXPECT_NE(message.find(range), std::string::npos) << message;
+        EXPECT_FALSE(fs::exists(sock)) << arg;
+    }
 }
 
 }  // namespace

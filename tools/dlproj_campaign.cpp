@@ -15,8 +15,8 @@
 //   --stats=PATH      write cache/run accounting JSON (with wall_ms) to
 //                     PATH ("-" = stderr summary is always printed)
 //   --engine=NAME     fault-sim engine for every cell, overriding the
-//                     spec's `engine =` key (naive, levelized; default:
-//                     $DLPROJ_ENGINE, else levelized).
+//                     spec's `engine =` key (naive, levelized; default
+//                     levelized).
 //                     Engines are bit-identical — this is a performance
 //                     knob and never affects results or cache keys
 //   --threads=N       worker count within each cell (0 = default)
@@ -46,9 +46,9 @@
 // SIGINT kills the process immediately (the handler is one-shot).
 //
 // Exit status: 0 success, 1 campaign failure (lint gate, bad inputs),
-// 2 usage or I/O error, 130 interrupted (SIGINT).  A run stopped by
-// --timeout-ms / DLPROJ_DEADLINE_MS budgets exits 0 with the stop
-// recorded in the stats document.
+// 2 usage or I/O error, 130 interrupted (SIGINT).  A run stopped by the
+// --timeout-ms budget exits 0 with the stop recorded in the stats
+// document.
 #include <signal.h>
 
 #include <chrono>

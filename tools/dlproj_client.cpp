@@ -10,7 +10,8 @@
 //   dlproj_client [options] project <circuit> <rules>
 //
 //   --socket=PATH          service socket (default: $DLPROJ_SERVE_SOCKET)
-//   --timeout-ms=N         request deadline (envelope deadline_ms)
+//   --timeout-ms=N         request deadline (envelope deadline_ms; the
+//                          server clamps it to its own --deadline-ms)
 //   --io-timeout-ms=N      per-frame read/write bound (default 30000)
 //   --retries=N            total attempts incl. the first (default 5)
 //   --idempotency-key=K    explicit key (default: derived per call)

@@ -6,26 +6,33 @@
 //   dlproj_served [options]
 //
 //   --socket=PATH       listen socket (default: $DLPROJ_SERVE_SOCKET)
-//   --workers=N         executor threads (default: $DLPROJ_SERVE_WORKERS)
-//   --queue-max=N       admission-queue bound ($DLPROJ_SERVE_QUEUE_MAX)
-//   --drain-ms=N        shutdown grace period ($DLPROJ_SERVE_DRAIN_MS)
-//   --deadline-ms=N     max per-request deadline ($DLPROJ_SERVE_DEADLINE_MS)
-//   --retry-after-ms=N  backpressure hint in shed replies
+//   --workers=N         executor threads, 1..64 (default 2)
+//   --queue-max=N       admission-queue bound, 1..4096 (default 16)
+//   --drain-ms=N        shutdown grace period, >= 0 (default 2000)
+//   --deadline-ms=N     per-request deadline: the default for requests
+//                       without one and the clamp on the rest, >= 0
+//                       (default 0 = none)
+//   --retry-after-ms=N  backpressure hint in shed replies, >= 0
 //   --cache-dir=PATH    artifact cache root (default: $DLPROJ_CACHE)
 //   --engine=NAME       default fault-sim engine for requests without one
-//   --threads=N         per-run worker threads (0 = library default)
+//   --threads=N         per-run worker threads, 0..256 (0 = library default)
 //   --quiet             suppress startup/shutdown stderr lines
+//
+// A numeric flag that is not a plain integer in its range exits 2 with a
+// message naming the flag and the range.
 //
 // Exit status: 0 clean shutdown, 2 usage or startup failure.
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "campaign/store.h"
 #include "gatesim/engine.h"
 #include "service/server.h"
 #include "support/env.h"
@@ -47,49 +54,52 @@ int main(int argc, char** argv) {
     using namespace dlp;
 
     service::ServiceConfig config;
-    try {
-        config = service::config_from_env();
-    } catch (const support::EnvError& e) {
-        std::cerr << argv[0] << ": " << e.what() << "\n";
-        return 2;
-    }
+    if (const char* sock = std::getenv("DLPROJ_SERVE_SOCKET"))
+        config.socket_path = sock;
+    config.cache_dir = campaign::env_cache_dir();
     bool quiet = false;
 
+    // Millisecond settings stop at 2^40 (~35 years), far below where
+    // steady_clock arithmetic could overflow.
+    constexpr long long kMaxMs = 1ll << 40;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char* flag) {
-            return arg.substr(std::strlen(flag));
+        const auto flag = [&](const char* name) {
+            return arg.rfind(name, 0) == 0 && arg[std::strlen(name)] == '=';
+        };
+        const auto value = [&] { return arg.substr(arg.find('=') + 1); };
+        const auto number = [&](long long min, long long max) {
+            return support::parse_int(arg.substr(0, arg.find('=')).c_str(),
+                                      value(), min, max);
         };
         try {
-            if (arg.rfind("--socket=", 0) == 0)
-                config.socket_path = value("--socket=");
-            else if (arg.rfind("--workers=", 0) == 0)
-                config.workers = std::stoi(value("--workers="));
-            else if (arg.rfind("--queue-max=", 0) == 0)
-                config.queue_max =
-                    static_cast<std::size_t>(std::stoull(value("--queue-max=")));
-            else if (arg.rfind("--drain-ms=", 0) == 0)
-                config.drain_ms = std::stoll(value("--drain-ms="));
-            else if (arg.rfind("--deadline-ms=", 0) == 0)
-                config.max_deadline_ms = std::stoll(value("--deadline-ms="));
-            else if (arg.rfind("--retry-after-ms=", 0) == 0)
-                config.retry_after_ms = std::stoll(value("--retry-after-ms="));
-            else if (arg.rfind("--cache-dir=", 0) == 0)
-                config.cache_dir = value("--cache-dir=");
-            else if (arg.rfind("--engine=", 0) == 0)
-                config.engine = value("--engine=");
-            else if (arg.rfind("--threads=", 0) == 0)
-                config.cell_threads = std::stoi(value("--threads="));
+            if (flag("--socket"))
+                config.socket_path = value();
+            else if (flag("--workers"))
+                config.workers = static_cast<int>(number(1, 64));
+            else if (flag("--queue-max"))
+                config.queue_max = static_cast<std::size_t>(number(1, 4096));
+            else if (flag("--drain-ms"))
+                config.drain_ms = number(0, kMaxMs);
+            else if (flag("--deadline-ms"))
+                config.deadline_ms = number(0, kMaxMs);
+            else if (flag("--retry-after-ms"))
+                config.retry_after_ms = number(0, kMaxMs);
+            else if (flag("--cache-dir"))
+                config.cache_dir = value();
+            else if (flag("--engine"))
+                config.engine = value();
+            else if (flag("--threads"))
+                config.cell_threads = static_cast<int>(number(0, 256));
             else if (arg == "--quiet")
                 quiet = true;
             else {
                 std::cerr << argv[0] << ": unknown option " << arg << "\n";
                 return usage(argv[0]);
             }
-        } catch (const std::exception& e) {
-            std::cerr << argv[0] << ": bad value in " << arg << ": "
-                      << e.what() << "\n";
-            return usage(argv[0]);
+        } catch (const support::EnvError& e) {
+            std::cerr << argv[0] << ": " << e.what() << "\n";
+            return 2;
         }
     }
     if (config.socket_path.empty()) {
