@@ -1,34 +1,29 @@
-// Bit-exact serialization of the stage artifacts a campaign caches:
-// the collapsed stuck-at fault list, the generated test set (vectors +
-// T(k)), the switch-level simulation data (theta/Gamma curves + detection
-// tables), and the fitted per-cell result.
+// Bit-exact serialization of the stage artifacts a campaign caches: the
+// untestability analysis (collapsed stuck-at universe + marks), the
+// generated test set (fault list, vectors, T(k)), the switch-level
+// simulation data (theta/Gamma curves + detection tables), and the fitted
+// per-cell result.
 //
 // Formats are line-oriented text with doubles encoded as the hex of their
 // IEEE-754 bit pattern, so a deserialized artifact is bit-identical to the
 // one that was stored — the resume-from-cache guarantee ("a resumed
 // campaign reproduces the uninterrupted report byte for byte") rests on
-// this.  Every document carries a versioned magic line; parse_* throw
-// std::runtime_error on any mismatch, which the campaign runner treats as
-// a cache miss.
-//
-// n-detection cells (ndetect > 1) serialize as version 2 of the tests/cell
-// formats, which append the detection-count tables and quality figures;
-// analysis cells (untestability analysis on) serialize as version 3, which
-// additionally appends the uncorrected coverage curve and the raw fit;
-// clustered cells (a non-Poisson defect-statistics backend) serialize as
-// cell version 4, which additionally appends an explicit analysis flag
-// (v3 implied analysis-on; v4 carries any combination), the backend
-// descriptor, the clustered yield and the joint clustered fit.  Classic
-// cells keep emitting version 1 byte for byte, so caches warmed before any
-// of the axes existed stay valid and classic artifacts stay byte-identical
-// across the changes.  Parsers accept all versions.
+// this.  Each kind has exactly one layout, written in full for every cell
+// whatever its axes (n-detection tables and quality figures, the analysis
+// flag with the raw curve and raw fit, the defect-statistics descriptor
+// with the clustered fit), and each parser accepts exactly one magic line.
+// parse_* throw std::runtime_error on any mismatch — including an artifact
+// in an older layout — which the campaign runner treats as a cache miss:
+// it recomputes the cell and overwrites the object.  The magic numbers
+// ("dlproj-tests 3", "dlproj-cell 4") are those of the complete layouts;
+// the partial layouts that older binaries wrote for cells off an axis
+// (tests 1–2, cell 1–3) no longer parse.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "flow/experiment.h"
-#include "gatesim/faults.h"
 
 namespace dlp::campaign {
 
@@ -55,25 +50,26 @@ struct CellResult {
     double fit_rms = 0.0;
 
     // n-detection quality (Pomeranz & Reddy worst/average case over
-    // testable faults; see model/ndetect.h).  Trivial at the default
-    // target 1, and only serialized/reported for n-detect cells.
+    // testable faults; see model/ndetect.h).  At the default target 1
+    // every figure collapses to the testable coverage; reports show them
+    // only for ndetect-axis campaigns.
     int ndetect = 1;             ///< the cell's n-detection target
     int ndetect_min = 0;         ///< min detections over testable faults
     double ndetect_mean = 0.0;   ///< mean detections over testable faults
     double worst_case_coverage = 0.0;  ///< frac of faults at the target
     double avg_case_coverage = 0.0;    ///< mean min(count, n)/n
 
-    // Static untestability analysis (src/analysis).  Only serialized and
-    // reported for analysis cells (v3); classic cells leave the defaults.
+    // Static untestability analysis (src/analysis).  Cells with the
+    // analysis off leave these at their zero defaults, which is what the
+    // corrected-vs-raw report columns show for them.
     bool analysis = false;      ///< the analyze() stage ran for this cell
     std::size_t untestable_faults = 0;  ///< faults proven untestable
     double fit_raw_r = 0.0;             ///< eq (11) fit of the raw curve
     double fit_raw_theta_max = 0.0;
 
-    // Defect-statistics backend (model/defect_stats_model.h).  Only
-    // serialized for non-Poisson cells (v4); Poisson cells leave the
-    // defaults and reports derive their clustered columns on the fly, so
-    // a v1 cache hit equals a fresh Poisson cell byte for byte.
+    // Defect-statistics backend (model/defect_stats_model.h).  Poisson
+    // cells leave the clustered fit at its zero defaults, which is what
+    // the clustered report columns show for them.
     std::string defect_stats = "poisson";  ///< canonical descriptor
     double stat_yield = 1.0;   ///< yield under the backend (== yield for
                                ///< Poisson)
@@ -98,9 +94,6 @@ struct CellResult {
 /// Bit-pattern hex encoding used for doubles ("3fe8000000000000"-style).
 std::string double_hex(double v);
 double parse_double_hex(const std::string& hex);
-
-std::string serialize_faults(const std::vector<gatesim::StuckAtFault>& f);
-std::vector<gatesim::StuckAtFault> parse_faults(const std::string& text);
 
 std::string serialize_tests(const flow::ExperimentRunner::TestSet& t);
 flow::ExperimentRunner::TestSet parse_tests(const std::string& text);

@@ -49,8 +49,8 @@ double clustered_dl_ppm(const CellResult& c) {
     // lambda = -ln(Y) (weight scaling is Poisson-based for every
     // backend).  Derived from serialized fields only, so a fresh cell and
     // a cache-hit cell report the same bytes.
-    const model::DefectStatsModel backend = model::parse_defect_stats(
-        c.defect_stats.empty() ? "poisson" : c.defect_stats);
+    const model::DefectStatsModel backend =
+        model::parse_defect_stats(c.defect_stats);
     const double lambda = c.yield > 0.0 ? -std::log(c.yield) : 0.0;
     return model::to_ppm(backend.dl(lambda, c.theta_curve.final()));
 }
@@ -202,8 +202,6 @@ std::string stats_json(const CampaignStats& s) {
     out << "  \"tests_misses\": " << s.tests_misses << ",\n";
     out << "  \"sim_hits\": " << s.sim_hits << ",\n";
     out << "  \"sim_misses\": " << s.sim_misses << ",\n";
-    out << "  \"faults_hits\": " << s.faults_hits << ",\n";
-    out << "  \"faults_misses\": " << s.faults_misses << ",\n";
     out << "  \"analysis_hits\": " << s.analysis_hits << ",\n";
     out << "  \"analysis_misses\": " << s.analysis_misses << ",\n";
     out << "  \"store_corrupt\": " << s.store_corrupt << ",\n";

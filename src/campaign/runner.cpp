@@ -24,12 +24,13 @@ bool is_campaign_stop(support::StopReason reason) {
 /// Canonical key texts.  Each embeds a format version so incompatible
 /// pipeline changes can invalidate old caches by bumping it; doubles are
 /// encoded by bit pattern so a key never aliases across distinct values.
+/// Every field is written for every cell, so a classic grid and the
+/// default cells of an axis grid address the same artifacts.
 struct CellKeys {
-    std::string faults;    ///< collapsed fault universe
     std::string analysis;  ///< untestability marks (analysis cells only)
     std::string tests;     ///< + ATPG config, seed, vector budget
     std::string sim;       ///< + rule deck, yield scaling, weighting
-    std::string cell;      ///< fitted-cell result (same inputs as sim)
+    std::string cell;      ///< + defect-statistics backend
 };
 
 CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
@@ -39,11 +40,6 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
                    const std::string& defect_stats) {
     CellKeys k;
     {
-        std::ostringstream o;
-        o << "dlproj-key faults 1\n" << "bench " << bench_hash << "\n";
-        k.faults = o.str();
-    }
-    {
         // Keyed by the circuit alone: the marks are a property of its
         // structure, so every analysis cell of a circuit shares one
         // artifact across rules/seeds/ATPG variants.
@@ -52,6 +48,8 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
         k.analysis = o.str();
     }
     {
+        // The analysis flag belongs here: its marks change the test set
+        // (proven faults settle Redundant).
         std::ostringstream o;
         o << "dlproj-key tests 1\n"
           << "bench " << bench_hash << "\n"
@@ -60,19 +58,11 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
           << "max_random " << atpg.max_random << "\n"
           << "stale_blocks " << atpg.stale_blocks << "\n"
           << "backtrack_limit " << atpg.backtrack_limit << "\n"
-          << "max_vectors " << spec.max_vectors << "\n";
-        // The n-detection target (and the top-up mix, which only matters
-        // beyond the first detection) enter the key only when they can
-        // change the test set, so classic cells keep their v1 keys and
-        // pre-existing warm caches stay hits.
-        if (atpg.ndetect > 1)
-            o << "ndetect " << atpg.ndetect << "\n"
-              << "ndetect_mix " << atpg::ndetect_mix_name(atpg.ndetect_mix)
-              << "\n";
-        // Likewise for the untestability analysis: marks change the test
-        // set (proven faults settle Redundant), so only analysis cells key
-        // on it and classic cells keep hitting pre-existing caches.
-        if (cell.analysis) o << "analysis on\n";
+          << "max_vectors " << spec.max_vectors << "\n"
+          << "ndetect " << atpg.ndetect << "\n"
+          << "ndetect_mix " << atpg::ndetect_mix_name(atpg.ndetect_mix)
+          << "\n"
+          << "analysis " << (cell.analysis ? "on" : "off") << "\n";
         k.tests = o.str();
     }
     {
@@ -85,13 +75,11 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
         k.sim = o.str();
     }
     // The backend enters only the CELL key: it changes nothing upstream of
-    // the fit stage, so faults/tests/sim artifacts are shared across the
-    // whole defect_stats axis, and the poisson spelling adds no key
-    // material at all — poisson cells keep hitting classic caches.  (A
-    // deck's own cluster_* directives are already covered by rules_hash.)
-    k.cell = "dlproj-key cell 1\n" + k.sim;
-    if (defect_stats != "poisson")
-        k.cell += "defect_stats " + defect_stats + "\n";
+    // the fit stage, so tests/sim artifacts are shared across the whole
+    // defect_stats axis.  (A deck's own cluster_* directives are already
+    // covered by rules_hash.)
+    k.cell = "dlproj-key cell 1\n" + k.sim + "defect_stats " + defect_stats +
+             "\n";
     return k;
 }
 
@@ -120,20 +108,19 @@ CellResult make_cell_result(const Cell& cell,
     c.avg_case_coverage = r.ndetect.avg_case_coverage;
     c.analysis = cell.analysis;
     // Only analysis cells carry the raw figures: ProposedFit defaults are
-    // not zero, and copying them into an off cell would make a fresh cell
-    // differ from a cache-parsed v1 cell.
+    // not zero, and an off cell must show zeros in the corrected-vs-raw
+    // report columns.
     if (cell.analysis) {
         c.untestable_faults = r.untestable_faults;
         c.fit_raw_r = r.fit_raw.r;
         c.fit_raw_theta_max = r.fit_raw.theta_max;
         c.t_curve_raw = r.t_curve_raw;
     }
-    // stat_yield is bit-identical to yield for Poisson backends, so this
-    // unconditional copy matches what parse_cell derives for a v1 hit.
+    // Likewise only clustered cells carry the joint clustered fit; for a
+    // Poisson cell stat_yield is bit-identical to yield.
     c.stat_yield = r.stat_yield;
-    const std::string backend = r.defect_stats.describe();
-    if (backend != "poisson") {
-        c.defect_stats = backend;
+    c.defect_stats = r.defect_stats.describe();
+    if (c.defect_stats != "poisson") {
         c.fit_c_r = r.fit_clustered.r;
         c.fit_c_theta_max = r.fit_clustered.theta_max;
         c.fit_c_alpha = r.fit_clustered.alpha;
@@ -300,19 +287,7 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
         } catch (const std::exception&) {
         }
     }
-    if (!tests_injected) {
-        if (store.enabled()) ++rep.stats.tests_misses;
-        bool faults_injected = false;
-        if (auto hit = store.get("faults", keys.faults)) {
-            try {
-                runner.inject_collapsed_faults(parse_faults(*hit));
-                faults_injected = true;
-                ++rep.stats.faults_hits;
-            } catch (const std::exception&) {
-            }
-        }
-        if (!faults_injected && store.enabled()) ++rep.stats.faults_misses;
-    }
+    if (!tests_injected && store.enabled()) ++rep.stats.tests_misses;
     bool sim_injected = false;
     if (tests_injected) {
         if (auto hit = store.get("sim", keys.sim)) {
@@ -349,10 +324,8 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
             rep.stats.stop = t.tests.stop;
             return false;
         }
-        if (!tests_injected) {
-            store.put("faults", keys.faults, serialize_faults(t.stuck));
+        if (!tests_injected)
             store.put("tests", keys.tests, serialize_tests(t));
-        }
         const flow::ExperimentRunner::SimulationData& d = runner.simulate();
         if (is_campaign_stop(d.stop)) {
             rep.stats.stop = d.stop;

@@ -58,8 +58,6 @@ struct CampaignStats {
     std::size_t tests_misses = 0;
     std::size_t sim_hits = 0;
     std::size_t sim_misses = 0;
-    std::size_t faults_hits = 0;
-    std::size_t faults_misses = 0;
     std::size_t analysis_hits = 0;  ///< untestability-analysis artifacts
     std::size_t analysis_misses = 0;
     std::size_t store_corrupt = 0;  ///< objects rejected by hash check

@@ -199,13 +199,6 @@ void ExperimentRunner::invalidate_all() {
     prepared_.reset();
     extraction_dirty_ = true;
     circuit_lint_.reset();
-    injected_stuck_.reset();
-    invalidate_analysis();
-}
-
-void ExperimentRunner::inject_collapsed_faults(
-    std::vector<gatesim::StuckAtFault> stuck) {
-    injected_stuck_ = std::move(stuck);
     invalidate_analysis();
 }
 
@@ -310,10 +303,8 @@ const ExperimentRunner::AnalysisData& ExperimentRunner::analyze() {
         DLP_OBS_SPAN(stage_span, "flow.analyze");
         report("analysis", 0, 1);
         AnalysisData a;
-        a.stuck = injected_stuck_
-                      ? *injected_stuck_
-                      : gatesim::collapse_faults(
-                            p.mapped, gatesim::full_fault_universe(p.mapped));
+        a.stuck = gatesim::collapse_faults(
+            p.mapped, gatesim::full_fault_universe(p.mapped));
         analysis::AnalysisOptions opts = options_.analysis_options;
         opts.budget = options_.budget;
         analysis::AnalysisResult r =
@@ -351,11 +342,8 @@ const ExperimentRunner::TestSet& ExperimentRunner::generate_tests() {
         TestSet t;
         report("atpg", 0, 1);
         t.stuck = a ? a->stuck
-                    : (injected_stuck_
-                           ? *injected_stuck_
-                           : gatesim::collapse_faults(
-                                 p.mapped,
-                                 gatesim::full_fault_universe(p.mapped)));
+                    : gatesim::collapse_faults(
+                          p.mapped, gatesim::full_fault_universe(p.mapped));
         // Cross-validate the collapse before spending ATPG time on it: a
         // lost or duplicated equivalence class would skew every weighted
         // coverage ratio downstream.

@@ -299,10 +299,6 @@ public:
     // guarantees it by content-addressing artifacts with a hash of every
     // input — and the artifact counts as a cache hit for the stage's
     // flow.*.cache_hit counter.  Each call drops all downstream artifacts.
-    /// Seeds the collapsed stuck-at universe; generate_tests() will skip
-    /// the collapse but still run ATPG (and, when the lint gate is on,
-    /// still cross-validate the injected list against the circuit).
-    void inject_collapsed_faults(std::vector<gatesim::StuckAtFault> stuck);
     /// Seeds the analysis artifact (collapsed universe + untestability
     /// marks); generate_tests() will consume the marks without re-running
     /// the implication engine.
@@ -350,9 +346,6 @@ private:
     ExperimentOptions options_;
     ProgressFn progress_;
 
-    /// Cache-injected collapsed fault universe (inject_collapsed_faults);
-    /// used by generate_tests() in place of the collapse.
-    std::optional<std::vector<gatesim::StuckAtFault>> injected_stuck_;
     std::optional<PreparedDesign> prepared_;
     bool extraction_dirty_ = true;  ///< prepared_'s extraction needs redo
     std::optional<AnalysisData> analysis_;

@@ -1,7 +1,6 @@
 #include "lint/checks.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -13,30 +12,11 @@
 #include <vector>
 
 #include "atpg/scoap.h"
+#include "netlist/bench_parser.h"
 
 namespace dlp::lint {
 
 namespace {
-
-std::string trim(const std::string& s) {
-    size_t a = 0;
-    size_t b = s.size();
-    while (a < b && std::isspace(static_cast<unsigned char>(s[a]))) ++a;
-    while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1]))) --b;
-    return s.substr(a, b - a);
-}
-
-std::string upper(std::string s) {
-    for (char& c : s)
-        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    return s;
-}
-
-bool known_gate_type(const std::string& u) {
-    return u == "BUF" || u == "BUFF" || u == "NOT" || u == "INV" ||
-           u == "AND" || u == "NAND" || u == "OR" || u == "NOR" ||
-           u == "XOR" || u == "XNOR";
-}
 
 std::string fmt_double(double v) {
     std::ostringstream out;
@@ -49,93 +29,16 @@ std::string fmt_double(double v) {
 
 void lint_bench_text(const std::string& text, const std::string& file,
                      DiagnosticEngine& engine) {
-    struct RawGate {
-        std::string out;
-        std::vector<std::string> fanin;
-        int line = 0;
-    };
-    std::vector<std::pair<std::string, int>> inputs;
-    std::vector<std::pair<std::string, int>> outputs;
-    std::vector<RawGate> gates;
-
-    const auto syntax = [&](int line, const std::string& what) {
-        engine.report(Severity::Error, "bench-syntax", what, {file, line});
-    };
-
-    // Lenient line scan: a malformed line is reported and skipped, so one
-    // bad line does not hide findings further down (unlike the strict
-    // parser, which throws at the first).
-    std::istringstream in(text);
-    std::string line_text;
-    int line_no = 0;
-    while (std::getline(in, line_text)) {
-        ++line_no;
-        const size_t hash = line_text.find('#');
-        if (hash != std::string::npos) line_text.erase(hash);
-        const std::string line = trim(line_text);
-        if (line.empty()) continue;
-
-        const size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            const size_t lp = line.find('(');
-            const size_t rp = line.rfind(')');
-            if (lp == std::string::npos || rp == std::string::npos ||
-                rp < lp) {
-                syntax(line_no, "expected INPUT(...) or OUTPUT(...)");
-                continue;
-            }
-            const std::string kw = upper(trim(line.substr(0, lp)));
-            const std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
-            if (arg.empty()) {
-                syntax(line_no, "empty net name");
-                continue;
-            }
-            if (kw == "INPUT")
-                inputs.emplace_back(arg, line_no);
-            else if (kw == "OUTPUT")
-                outputs.emplace_back(arg, line_no);
-            else
-                syntax(line_no, "unknown directive '" + kw + "'");
-            continue;
-        }
-
-        RawGate g;
-        g.line = line_no;
-        g.out = trim(line.substr(0, eq));
-        const std::string rhs = trim(line.substr(eq + 1));
-        const size_t lp = rhs.find('(');
-        const size_t rp = rhs.rfind(')');
-        if (g.out.empty() || lp == std::string::npos ||
-            rp == std::string::npos || rp < lp) {
-            syntax(line_no, "expected '<net> = TYPE(a, b, ...)'");
-            continue;
-        }
-        const std::string type = upper(trim(rhs.substr(0, lp)));
-        if (!known_gate_type(type)) {
-            syntax(line_no, "unknown gate type '" + trim(rhs.substr(0, lp)) +
-                            "'");
-            continue;
-        }
-        std::string args = rhs.substr(lp + 1, rp - lp - 1);
-        std::string token;
-        std::istringstream as(args);
-        bool bad = false;
-        while (std::getline(as, token, ',')) {
-            token = trim(token);
-            if (token.empty()) {
-                syntax(line_no, "empty fanin name");
-                bad = true;
-                break;
-            }
-            g.fanin.push_back(token);
-        }
-        if (bad) continue;
-        if (g.fanin.empty()) {
-            syntax(line_no, "gate with no fanin");
-            continue;
-        }
-        gates.push_back(std::move(g));
-    }
+    // Lenient line scan: every malformed line is reported, so one bad line
+    // does not hide findings further down (unlike the strict parser, which
+    // throws at the first).
+    const netlist::BenchScan scan = netlist::scan_bench(text);
+    for (const netlist::BenchFinding& f : scan.findings)
+        engine.report(Severity::Error, "bench-syntax", f.message,
+                      {file, f.line});
+    const std::vector<netlist::BenchDecl>& inputs = scan.inputs;
+    const std::vector<netlist::BenchDecl>& outputs = scan.outputs;
+    const std::vector<netlist::BenchGate>& gates = scan.gates;
 
     // Drivers: every INPUT declaration and every gate output.  A second
     // driver of either kind is a conflict.
@@ -148,7 +51,7 @@ void lint_bench_text(const std::string& text, const std::string& file,
                           "line " + std::to_string(it->second) + ")",
                           {file, line}, name);
     }
-    for (const RawGate& g : gates) {
+    for (const netlist::BenchGate& g : gates) {
         const auto [it, inserted] = driver_line.emplace(g.out, g.line);
         if (!inserted)
             engine.report(Severity::Error, "net-multi-driven",
@@ -160,8 +63,8 @@ void lint_bench_text(const std::string& text, const std::string& file,
 
     // OUTPUT declarations: duplicates and INPUT/OUTPUT feedthroughs.
     {
-        std::unordered_map<std::string, int> input_line(inputs.begin(),
-                                                        inputs.end());
+        std::unordered_map<std::string, int> input_line;
+        for (const auto& [name, line] : inputs) input_line.emplace(name, line);
         std::unordered_map<std::string, int> out_line;
         for (const auto& [name, line] : outputs) {
             const auto [it, inserted] = out_line.emplace(name, line);
@@ -185,7 +88,7 @@ void lint_bench_text(const std::string& text, const std::string& file,
 
     // Undriven references (one finding per net name).
     std::unordered_set<std::string> reported_undriven;
-    for (const RawGate& g : gates)
+    for (const netlist::BenchGate& g : gates)
         for (const std::string& f : g.fanin)
             if (!driver_line.count(f) && reported_undriven.insert(f).second)
                 engine.report(Severity::Error, "net-undriven",

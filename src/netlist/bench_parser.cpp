@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -10,13 +11,6 @@
 namespace dlp::netlist {
 
 namespace {
-
-struct RawGate {
-    std::string out;
-    std::string type;
-    std::vector<std::string> fanin;
-    int line = 0;
-};
 
 std::string trim(const std::string& s) {
     size_t a = 0;
@@ -35,7 +29,7 @@ std::string upper(std::string s) {
     throw std::runtime_error("bench:" + std::to_string(line) + ": " + what);
 }
 
-GateType type_from_string(const std::string& t, int line) {
+std::optional<GateType> type_from_string(const std::string& t) {
     const std::string u = upper(t);
     if (u == "BUF" || u == "BUFF") return GateType::Buf;
     if (u == "NOT" || u == "INV") return GateType::Not;
@@ -45,20 +39,60 @@ GateType type_from_string(const std::string& t, int line) {
     if (u == "NOR") return GateType::Nor;
     if (u == "XOR") return GateType::Xor;
     if (u == "XNOR") return GateType::Xnor;
-    fail(line, "unknown gate type '" + t + "'");
+    return std::nullopt;
+}
+
+/// Scans one comment-stripped, trimmed, non-empty line into `out`;
+/// returns the finding's message for a malformed line, else "".
+std::string scan_line(const std::string& line, int line_no, BenchScan& out) {
+    const size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+        // INPUT(x) / OUTPUT(x)
+        const size_t lp = line.find('(');
+        const size_t rp = line.rfind(')');
+        if (lp == std::string::npos || rp == std::string::npos || rp < lp)
+            return "expected INPUT(...) or OUTPUT(...)";
+        const std::string kw = upper(trim(line.substr(0, lp)));
+        std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
+        if (arg.empty()) return "empty net name";
+        if (kw == "INPUT")
+            out.inputs.push_back({std::move(arg), line_no});
+        else if (kw == "OUTPUT")
+            out.outputs.push_back({std::move(arg), line_no});
+        else
+            return "unknown directive '" + kw + "'";
+        return "";
+    }
+
+    BenchGate g;
+    g.line = line_no;
+    g.out = trim(line.substr(0, eq));
+    const std::string rhs = trim(line.substr(eq + 1));
+    const size_t lp = rhs.find('(');
+    const size_t rp = rhs.rfind(')');
+    if (g.out.empty() || lp == std::string::npos || rp == std::string::npos ||
+        rp < lp)
+        return "expected '<net> = TYPE(a, b, ...)'";
+    const std::string type = trim(rhs.substr(0, lp));
+    const std::optional<GateType> t = type_from_string(type);
+    if (!t) return "unknown gate type '" + type + "'";
+    g.type = *t;
+    std::string token;
+    std::istringstream as(rhs.substr(lp + 1, rp - lp - 1));
+    while (std::getline(as, token, ',')) {
+        token = trim(token);
+        if (token.empty()) return "empty fanin name";
+        g.fanin.push_back(token);
+    }
+    if (g.fanin.empty()) return "gate with no fanin";
+    out.gates.push_back(std::move(g));
+    return "";
 }
 
 }  // namespace
 
-Circuit parse_bench(const std::string& text, std::string circuit_name) {
-    struct Decl {
-        std::string name;
-        int line;
-    };
-    std::vector<Decl> input_names;
-    std::vector<Decl> output_names;
-    std::vector<RawGate> raw;
-
+BenchScan scan_bench(const std::string& text) {
+    BenchScan scan;
     std::istringstream in(text);
     std::string line_text;
     int line_no = 0;
@@ -68,52 +102,25 @@ Circuit parse_bench(const std::string& text, std::string circuit_name) {
         if (hash != std::string::npos) line_text.erase(hash);
         const std::string line = trim(line_text);
         if (line.empty()) continue;
-
-        const size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            // INPUT(x) / OUTPUT(x)
-            const size_t lp = line.find('(');
-            const size_t rp = line.rfind(')');
-            if (lp == std::string::npos || rp == std::string::npos || rp < lp)
-                fail(line_no, "expected INPUT(...) or OUTPUT(...)");
-            const std::string kw = upper(trim(line.substr(0, lp)));
-            const std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
-            if (arg.empty()) fail(line_no, "empty net name");
-            if (kw == "INPUT")
-                input_names.push_back({arg, line_no});
-            else if (kw == "OUTPUT")
-                output_names.push_back({arg, line_no});
-            else
-                fail(line_no, "unknown directive '" + kw + "'");
-            continue;
-        }
-
-        RawGate g;
-        g.line = line_no;
-        g.out = trim(line.substr(0, eq));
-        const std::string rhs = trim(line.substr(eq + 1));
-        const size_t lp = rhs.find('(');
-        const size_t rp = rhs.rfind(')');
-        if (g.out.empty() || lp == std::string::npos ||
-            rp == std::string::npos || rp < lp)
-            fail(line_no, "expected '<net> = TYPE(a, b, ...)'");
-        g.type = trim(rhs.substr(0, lp));
-        std::string args = rhs.substr(lp + 1, rp - lp - 1);
-        std::string token;
-        std::istringstream as(args);
-        while (std::getline(as, token, ',')) {
-            token = trim(token);
-            if (token.empty()) fail(line_no, "empty fanin name");
-            g.fanin.push_back(token);
-        }
-        if (g.fanin.empty()) fail(line_no, "gate with no fanin");
-        raw.push_back(std::move(g));
+        std::string finding = scan_line(line, line_no, scan);
+        if (!finding.empty())
+            scan.findings.push_back({line_no, std::move(finding)});
     }
+    return scan;
+}
+
+Circuit parse_bench(const std::string& text, std::string circuit_name) {
+    const BenchScan scan = scan_bench(text);
+    if (!scan.findings.empty())
+        fail(scan.findings.front().line, scan.findings.front().message);
+    const std::vector<BenchDecl>& input_names = scan.inputs;
+    const std::vector<BenchDecl>& output_names = scan.outputs;
+    const std::vector<BenchGate>& raw = scan.gates;
 
     // Duplicate drivers are rejected up front so the diagnostic carries the
     // offending line even when the duplicates also sit on a cycle.
     std::unordered_map<std::string, int> driver_line;
-    for (const RawGate& g : raw) {
+    for (const BenchGate& g : raw) {
         const auto [it, inserted] = driver_line.emplace(g.out, g.line);
         if (!inserted)
             fail(g.line, "net '" + g.out + "' driven twice (first driver at "
@@ -137,7 +144,7 @@ Circuit parse_bench(const std::string& text, std::string circuit_name) {
         bool progress = false;
         for (size_t i = 0; i < raw.size(); ++i) {
             if (emitted[i]) continue;
-            const RawGate& g = raw[i];
+            const BenchGate& g = raw[i];
             bool ready = true;
             for (const std::string& f : g.fanin)
                 if (!net_of.count(f)) {
@@ -152,8 +159,7 @@ Circuit parse_bench(const std::string& text, std::string circuit_name) {
             // surface those as line-numbered parse diagnostics.
             try {
                 net_of[g.out] =
-                    circuit.add_gate(type_from_string(g.type, g.line), g.out,
-                                     std::move(fanin));
+                    circuit.add_gate(g.type, g.out, std::move(fanin));
             } catch (const std::invalid_argument& e) {
                 fail(g.line, e.what());
             }

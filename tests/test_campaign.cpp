@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -207,6 +211,151 @@ TEST(ArtifactStore, TruncatedObjectIsAMiss) {
     EXPECT_FALSE(store.get("cell", "k").has_value());
 }
 
+// --- artifact layouts ---------------------------------------------------
+
+/// Each "<key> ..." line of a serialized artifact, by key; lines that start
+/// with a digit (fault-list entries, vector bits) and the magic line are
+/// skipped.
+std::map<std::string, std::string> keyed_lines(const std::string& text) {
+    std::map<std::string, std::string> out;
+    std::istringstream in(text);
+    std::string line;
+    std::getline(in, line);  // magic
+    while (std::getline(in, line))
+        if (!line.empty() && std::isalpha(static_cast<unsigned char>(line[0])))
+            out[line.substr(0, line.find(' '))] = line;
+    return out;
+}
+
+/// Checks that a fixture sets every field: each field line of `text`
+/// differs from the same field of a default-constructed artifact, so a
+/// round trip that reproduces `text` carries every field.
+void expect_every_field_set(const std::string& text,
+                            const std::string& defaults) {
+    const auto set = keyed_lines(text);
+    const auto unset = keyed_lines(defaults);
+    EXPECT_EQ(set.size(), unset.size());
+    for (const auto& [key, line] : unset) {
+        const auto it = set.find(key);
+        ASSERT_NE(it, set.end()) << key;
+        EXPECT_NE(it->second, line) << key << " is at its default";
+    }
+}
+
+TEST(CampaignArtifacts, TestsRoundTripEveryField) {
+    flow::ExperimentRunner::TestSet t;
+    t.stuck = {{2, netlist::kNoNet, -1, false}, {3, 4, 0, true}};
+    t.tests.vectors = {{true, false, true}, {false, false, true}};
+    t.tests.random_count = 1;
+    t.tests.deterministic_count = 1;
+    t.tests.detected = 1;
+    t.tests.redundant = 1;
+    t.tests.aborted = 2;
+    t.tests.untargeted = 3;
+    t.tests.stop = support::StopReason::VectorBudget;
+    t.tests.ndetect = 2;
+    t.tests.topup_random_count = 4;
+    t.tests.topup_weighted_count = 5;
+    t.tests.topup_deterministic_count = 6;
+    t.tests.first_detected_at = {1, -1};
+    t.tests.detection_counts = {2, 0};
+    t.tests.nth_detected_at = {2, -1};
+    t.tests.status = {atpg::FaultStatus::Detected,
+                      atpg::FaultStatus::Redundant};
+    t.t_curve = flow::CoverageCurve({0.5, 1.0});
+    t.t_curve_raw = flow::CoverageCurve({0.25, 0.5});
+    const std::string text = serialize_tests(t);
+    EXPECT_EQ(text.substr(0, text.find('\n')), "dlproj-tests 3");
+    expect_every_field_set(text, serialize_tests({}));
+    const auto back = parse_tests(text);
+    EXPECT_EQ(back.stuck, t.stuck);
+    EXPECT_EQ(back.tests.vectors, t.tests.vectors);
+    EXPECT_EQ(back.tests.status, t.tests.status);
+    EXPECT_EQ(serialize_tests(back), text);
+}
+
+TEST(CampaignArtifacts, SimulationRoundTripEveryField) {
+    flow::ExperimentRunner::SimulationData d;
+    d.theta_curve = flow::CoverageCurve({0.25, 0.75});
+    d.gamma_curve = flow::CoverageCurve({0.125, 0.5});
+    d.theta_iddq_curve = flow::CoverageCurve({0.375, 0.875});
+    d.first_detected_at = {1, 2, -1};
+    d.iddq_detected_at = {2, -1, -1};
+    d.stop = support::StopReason::VectorBudget;
+    d.vectors_done = 2;
+    d.vectors_total = 8;
+    const std::string text = serialize_simulation(d);
+    expect_every_field_set(text, serialize_simulation({}));
+    const auto back = parse_simulation(text);
+    EXPECT_EQ(back.first_detected_at, d.first_detected_at);
+    EXPECT_EQ(back.stop, d.stop);
+    EXPECT_EQ(serialize_simulation(back), text);
+}
+
+TEST(CampaignArtifacts, CellRoundTripEveryField) {
+    CellResult c;
+    c.circuit = "c17";
+    c.rules = "uniform";
+    c.atpg = "default";
+    c.seed = 7;
+    c.mapped_gates = 6;
+    c.stuck_faults = 22;
+    c.realistic_faults = 40;
+    c.transistors = 24;
+    c.vector_count = 9;
+    c.random_vectors = 5;
+    c.yield = 0.8;
+    c.fit_r = 1.25;
+    c.fit_theta_max = 0.9375;
+    c.fit_rms = 0.03125;
+    c.ndetect = 4;
+    c.ndetect_min = 2;
+    c.ndetect_mean = 3.25;
+    c.worst_case_coverage = 0.5;
+    c.avg_case_coverage = 0.8125;
+    c.analysis = true;
+    c.untestable_faults = 3;
+    c.fit_raw_r = 0.5;
+    c.fit_raw_theta_max = 1.5;
+    c.defect_stats = "negbin:2";
+    c.stat_yield = 0.8375;
+    c.fit_c_r = 0.25;
+    c.fit_c_theta_max = 0.75;
+    c.fit_c_alpha = 2.125;
+    c.fit_c_rms = 0.0625;
+    c.interruption = "switch-sim:VectorBudget";
+    c.t_curve = flow::CoverageCurve({0.5, 1.0});
+    c.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
+    c.theta_curve = flow::CoverageCurve({0.25, 0.625});
+    c.gamma_curve = flow::CoverageCurve({0.125, 0.5});
+    c.theta_iddq_curve = flow::CoverageCurve({0.5, 0.875});
+    const std::string text = serialize_cell(c);
+    EXPECT_EQ(text.substr(0, text.find('\n')), "dlproj-cell 4");
+    expect_every_field_set(text, serialize_cell({}));
+    const CellResult back = parse_cell(text);
+    EXPECT_TRUE(back.analysis);
+    EXPECT_EQ(back.defect_stats, "negbin:2");
+    EXPECT_EQ(back.interruption, "switch-sim:VectorBudget");
+    EXPECT_EQ(serialize_cell(back), text);
+
+    // A default cell writes the same layout: every field, at its default.
+    const std::string plain = serialize_cell({});
+    EXPECT_EQ(plain.substr(0, plain.find('\n')), "dlproj-cell 4");
+    EXPECT_EQ(serialize_cell(parse_cell(plain)), plain);
+}
+
+TEST(CampaignArtifacts, EachParserAcceptsOneMagicLine) {
+    const std::string cell = serialize_cell({});
+    const std::string body = cell.substr(cell.find('\n'));
+    for (const char* magic :
+         {"dlproj-cell 1", "dlproj-cell 2", "dlproj-cell 3", "dlproj-cell 5"})
+        EXPECT_THROW(parse_cell(magic + body), std::runtime_error) << magic;
+    const std::string tests = serialize_tests({});
+    const std::string tbody = tests.substr(tests.find('\n'));
+    for (const char* magic : {"dlproj-tests 1", "dlproj-tests 2"})
+        EXPECT_THROW(parse_tests(magic + tbody), std::runtime_error) << magic;
+}
+
 // --- end-to-end campaign cache guarantees -------------------------------
 
 CampaignOptions cached_options(const std::string& cache_dir) {
@@ -241,42 +390,6 @@ TEST(CampaignCache, ColdThenWarmAccounting) {
     EXPECT_EQ(report_csv(warm), report_csv(cold));
 }
 
-TEST(CampaignNDetect, ClassicCellSerializesV1WithDerivedQuality) {
-    // A classic (n=1) cell keeps the version-1 artifact format byte for
-    // byte; parsing it back derives the trivial n=1 quality figures from
-    // T(k)'s final value, so a warm ndetect-axis resume over a classic (or
-    // pre-n-detect) cache reports the same bytes as a cold run.
-    CellResult c;
-    c.circuit = "c17";
-    c.rules = "bridging";
-    c.atpg = "default";
-    c.t_curve = flow::CoverageCurve({0.5, 0.875});
-    const std::string text = serialize_cell(c);
-    EXPECT_EQ(text.substr(0, text.find('\n')), "dlproj-cell 1");
-    EXPECT_EQ(text.find("ndetect"), std::string::npos);
-    const CellResult back = parse_cell(text);
-    EXPECT_EQ(back.ndetect, 1);
-    EXPECT_EQ(back.ndetect_min, 0);  // 0.875 < 1: some fault undetected
-    EXPECT_EQ(back.ndetect_mean, 0.875);
-    EXPECT_EQ(back.worst_case_coverage, 0.875);
-    EXPECT_EQ(back.avg_case_coverage, 0.875);
-
-    // An n-detect cell round-trips its measured figures through v2.
-    c.ndetect = 4;
-    c.ndetect_min = 2;
-    c.ndetect_mean = 3.25;
-    c.worst_case_coverage = 0.5;
-    c.avg_case_coverage = 0.8125;
-    const std::string text2 = serialize_cell(c);
-    EXPECT_EQ(text2.substr(0, text2.find('\n')), "dlproj-cell 2");
-    const CellResult back2 = parse_cell(text2);
-    EXPECT_EQ(back2.ndetect, 4);
-    EXPECT_EQ(back2.ndetect_min, 2);
-    EXPECT_EQ(back2.ndetect_mean, 3.25);
-    EXPECT_EQ(back2.worst_case_coverage, 0.5);
-    EXPECT_EQ(back2.avg_case_coverage, 0.8125);
-}
-
 TEST(CampaignNDetect, AxisGridSharesClassicCacheByteIdentically) {
     // The n=1 cells of an ndetect-axis grid carry the same artifact keys
     // and bytes as a classic campaign's, so a cache warmed without the
@@ -308,6 +421,67 @@ TEST(CampaignNDetect, AxisGridSharesClassicCacheByteIdentically) {
     EXPECT_EQ(warm.cells[0].ndetect_min, 1);
     EXPECT_GE(warm.cells[1].avg_case_coverage,
               warm.cells[1].worst_case_coverage);
+}
+
+TEST(CampaignCache, OldLayoutCellIsAMissRecomputedAndOverwritten) {
+    // A cell object in a layout older binaries wrote ("dlproj-cell 1", no
+    // n-detection, analysis or backend fields) no longer parses: the run
+    // counts a miss, recomputes the cell and overwrites the object.
+    CampaignSpec spec = parse_campaign_spec(kSmallSpec);
+    spec.circuits = {"c17"};
+    spec.rules = {"uniform"};
+    const std::string cache = scratch_dir("old_layout");
+    const CampaignReport cold = run_campaign(spec, cached_options(cache));
+    ASSERT_EQ(cold.stats.cell_misses, 1u);
+
+    // Recover the cell's key from its object ("--" ends the header; the
+    // key bytes follow).
+    std::string object_file;
+    for (const auto& e : fs::recursive_directory_iterator(cache + "/objects"))
+        if (e.path().filename().string().ends_with("-cell"))
+            object_file = e.path().string();
+    ASSERT_FALSE(object_file.empty());
+    std::ifstream in(object_file, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const std::size_t key_at = bytes.find("\n--\n") + 4;
+    const std::size_t key_bytes =
+        std::stoul(bytes.substr(bytes.find("key-bytes ") + 10));
+    const std::string key = bytes.substr(key_at, key_bytes);
+    ArtifactStore store(cache);
+    const std::string fresh = *store.get("cell", key);
+
+    // Plant the version-1 layout of the same cell under that key.
+    std::string old = "dlproj-cell 1\n";
+    {
+        const std::set<std::string> v1_fields = {
+            "circuit",     "rules",        "atpg",
+            "seed",        "mapped_gates", "stuck_faults",
+            "realistic_faults", "transistors", "vector_count",
+            "random_vectors", "yield",     "fit_r",
+            "fit_theta_max", "fit_rms",    "interruption",
+            "t_curve",     "theta_curve",  "gamma_curve",
+            "theta_iddq_curve"};
+        std::istringstream lines(fresh);
+        std::string line;
+        std::getline(lines, line);  // magic
+        while (std::getline(lines, line))
+            if (v1_fields.count(line.substr(0, line.find(' '))))
+                old += line + "\n";
+    }
+    store.put("cell", key, old);
+    EXPECT_THROW(parse_cell(old), std::runtime_error);
+
+    const CampaignReport rerun = run_campaign(spec, cached_options(cache));
+    EXPECT_EQ(rerun.stats.cell_hits, 0u);
+    EXPECT_EQ(rerun.stats.cell_misses, 1u);
+    EXPECT_EQ(report_json(rerun), report_json(cold));
+    EXPECT_EQ(report_csv(rerun), report_csv(cold));
+    EXPECT_EQ(*store.get("cell", key), fresh);  // overwritten
+
+    const CampaignReport warm = run_campaign(spec, cached_options(cache));
+    EXPECT_EQ(warm.stats.cell_hits, 1u);
+    EXPECT_EQ(report_json(warm), report_json(cold));
 }
 
 TEST(CampaignCache, TestsArtifactSharedAcrossRuleDecks) {
@@ -550,33 +724,6 @@ TEST(CampaignAnalysis, SpecAxisParsesAndEnumeratesInnermost) {
                  std::runtime_error);
 }
 
-TEST(CampaignAnalysis, CellArtifactV3RoundTrip) {
-    // Analysis cells serialize as version 3 and round-trip the raw-curve
-    // figures; classic cells keep the version-1 bytes untouched.
-    CellResult c;
-    c.circuit = "c17";
-    c.rules = "uniform";
-    c.atpg = "default";
-    c.t_curve = flow::CoverageCurve({0.5, 1.0});
-    EXPECT_EQ(serialize_cell(c).substr(0, 13), "dlproj-cell 1");
-
-    c.analysis = true;
-    c.untestable_faults = 3;
-    c.fit_raw_r = 0.25;
-    c.fit_raw_theta_max = 1.5;
-    c.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
-    const std::string text = serialize_cell(c);
-    EXPECT_EQ(text.substr(0, 13), "dlproj-cell 3");
-    const CellResult back = parse_cell(text);
-    EXPECT_TRUE(back.analysis);
-    EXPECT_EQ(back.untestable_faults, 3u);
-    EXPECT_EQ(back.fit_raw_r, 0.25);
-    EXPECT_EQ(back.fit_raw_theta_max, 1.5);
-    ASSERT_EQ(back.t_curve_raw.size(), 2u);
-    EXPECT_EQ(back.t_curve_raw.final(), 0.75);
-    EXPECT_EQ(back.t_curve.final(), 1.0);
-}
-
 TEST(CampaignAnalysis, AnalysisArtifactRoundTrip) {
     flow::ExperimentRunner::AnalysisData a;
     a.stuck = {{2, netlist::kNoNet, -1, false},
@@ -589,7 +736,10 @@ TEST(CampaignAnalysis, AnalysisArtifactRoundTrip) {
     a.stats.learned = 5;
     a.stats.constant_lines = 1;
     a.stats.proofs = 1;
+    a.stop = support::StopReason::DeadlineExpired;
     const std::string text = serialize_analysis(a);
+    expect_every_field_set(text, serialize_analysis({}));
+    EXPECT_EQ(serialize_analysis(parse_analysis(text)), text);
     const auto back = parse_analysis(text);
     EXPECT_EQ(back.stuck, a.stuck);
     EXPECT_EQ(back.untestable, a.untestable);
@@ -599,7 +749,7 @@ TEST(CampaignAnalysis, AnalysisArtifactRoundTrip) {
     EXPECT_EQ(back.stats.learned, 5u);
     EXPECT_EQ(back.stats.constant_lines, 1u);
     EXPECT_EQ(back.stats.proofs, 1u);
-    EXPECT_EQ(back.stop, support::StopReason::None);
+    EXPECT_EQ(back.stop, support::StopReason::DeadlineExpired);
     // Proofs are deliberately not serialized: downstream consumers only
     // need the marks and the stats.
     EXPECT_TRUE(back.proofs.empty());
@@ -679,45 +829,6 @@ TEST(CampaignDefectStats, SpecAxisParsesCanonicalizesAndEnumeratesInnermost) {
         parse_campaign_spec("[grid]\ncircuits = c17\nrules = uniform\n"
                             "defect_stats =\n"),
         std::runtime_error);
-}
-
-TEST(CampaignDefectStats, CellArtifactV4RoundTrip) {
-    // Clustered cells serialize as version 4 and round-trip the backend
-    // descriptor plus the joint clustered fit; classic cells keep the
-    // version-1 bytes, and parsing v1 derives stat_yield = yield.
-    CellResult c;
-    c.circuit = "c17";
-    c.rules = "uniform";
-    c.atpg = "default";
-    c.yield = 0.8;
-    c.t_curve = flow::CoverageCurve({0.5, 1.0});
-    const std::string classic = serialize_cell(c);
-    EXPECT_EQ(classic.substr(0, 13), "dlproj-cell 1");
-    EXPECT_EQ(parse_cell(classic).stat_yield, 0.8);
-
-    c.defect_stats = "negbin:2";
-    c.stat_yield = 0.8375;
-    c.fit_c_r = 0.25;
-    c.fit_c_theta_max = 1.5;
-    c.fit_c_alpha = 2.125;
-    c.fit_c_rms = 0.0625;
-    c.analysis = true;  // v4 carries analysis and clustering together
-    c.untestable_faults = 3;
-    c.fit_raw_r = 0.5;
-    c.fit_raw_theta_max = 1.25;
-    c.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
-    const std::string text = serialize_cell(c);
-    EXPECT_EQ(text.substr(0, 13), "dlproj-cell 4");
-    const CellResult back = parse_cell(text);
-    EXPECT_EQ(back.defect_stats, "negbin:2");
-    EXPECT_EQ(back.stat_yield, 0.8375);
-    EXPECT_EQ(back.fit_c_r, 0.25);
-    EXPECT_EQ(back.fit_c_theta_max, 1.5);
-    EXPECT_EQ(back.fit_c_alpha, 2.125);
-    EXPECT_EQ(back.fit_c_rms, 0.0625);
-    EXPECT_TRUE(back.analysis);
-    EXPECT_EQ(back.untestable_faults, 3u);
-    EXPECT_EQ(back.t_curve_raw.final(), 0.75);
 }
 
 TEST(CampaignDefectStats, AxisGridSharesClassicCacheByteIdentically) {

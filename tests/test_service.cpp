@@ -917,14 +917,56 @@ TEST(Crash, ServerKilledMidCampaignRecoversAndServesIdenticalResults) {
               reference_report(kCrashSpec));
 }
 
+/// Runs `bin` with `args`, stderr to `err`.  A process that accepted its
+/// arguments may block (a daemon listens, a client retries): it gets 10 s,
+/// then is killed so the failure is reported, not hung.  Returns the wait
+/// status.
+int run_tool(const char* bin, const std::vector<std::string>& args,
+             const std::string& err) {
+    std::vector<char*> argv{const_cast<char*>(bin)};
+    for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0) return -1;
+    if (pid == 0) {
+        const int fd = ::open(err.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) ::_exit(126);
+        ::execv(bin, argv.data());
+        ::_exit(127);
+    }
+    int status = 0;
+    pid_t done = 0;
+    for (int i = 0; i < 1000 && done == 0; ++i) {
+        done = ::waitpid(pid, &status, WNOHANG);
+        if (done == 0) std::this_thread::sleep_for(10ms);
+    }
+    if (done == 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+    }
+    return status;
+}
+
+/// A rejected numeric flag: exit status 2, and a message naming the flag
+/// and its accepted range.
+void expect_flag_rejected(const char* bin, std::vector<std::string> args,
+                          const std::string& arg, const char* range,
+                          const std::string& err) {
+    args.push_back(arg);
+    const int status = run_tool(bin, args, err);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << arg;
+    const std::string message = slurp(err);
+    const std::string flag = arg.substr(0, arg.find('='));
+    EXPECT_NE(message.find(flag), std::string::npos) << message;
+    EXPECT_NE(message.find(range), std::string::npos) << message;
+}
+
 TEST(ServedFlags, OutOfRangeNumericFlagsExitTwoBeforeBinding) {
     const char* bin = std::getenv("DLPROJ_SERVED_BIN");
     if (!bin) GTEST_SKIP() << "DLPROJ_SERVED_BIN not set (run via ctest)";
 
     const std::string dir = scratch_dir("served_flags");
     const std::string sock = dir + "/srv.sock";
-    const std::string err = dir + "/stderr.txt";
-    const std::string socket_arg = "--socket=" + sock;
     const std::pair<const char*, const char*> cases[] = {
         {"--workers=65", "[1, 64]"},
         {"--workers=0", "[1, 64]"},
@@ -932,35 +974,61 @@ TEST(ServedFlags, OutOfRangeNumericFlagsExitTwoBeforeBinding) {
         {"--queue-max=0", "[1, 4096]"},
     };
     for (const auto& [arg, range] : cases) {
-        const pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            const int fd =
-                ::open(err.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-            if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) ::_exit(126);
-            ::execl(bin, bin, socket_arg.c_str(), "--quiet", arg,
-                    static_cast<char*>(nullptr));
-            ::_exit(127);
-        }
-        // A daemon that accepted the value would listen until signalled:
-        // give it 10 s, then kill it so the failure is reported, not hung.
-        int status = 0;
-        pid_t done = 0;
-        for (int i = 0; i < 1000 && done == 0; ++i) {
-            done = ::waitpid(pid, &status, WNOHANG);
-            if (done == 0) std::this_thread::sleep_for(10ms);
-        }
-        if (done == 0) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, &status, 0);
-        }
-        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << arg;
-        const std::string message = slurp(err);
-        const std::string flag(arg, std::strchr(arg, '='));
-        EXPECT_NE(message.find(flag), std::string::npos) << message;
-        EXPECT_NE(message.find(range), std::string::npos) << message;
+        expect_flag_rejected(bin, {"--socket=" + sock, "--quiet"}, arg, range,
+                             dir + "/stderr.txt");
         EXPECT_FALSE(fs::exists(sock)) << arg;
     }
+}
+
+TEST(ToolFlags, JunkAndOutOfRangeNumericFlagsExitTwoBeforeWork) {
+    const char* campaign = std::getenv("DLPROJ_CAMPAIGN_BIN");
+    const char* client = std::getenv("DLPROJ_CLIENT_BIN");
+    if (!campaign || !client)
+        GTEST_SKIP() << "DLPROJ_CAMPAIGN_BIN/DLPROJ_CLIENT_BIN not set "
+                        "(run via ctest)";
+
+    const std::string dir = scratch_dir("tool_flags");
+    const std::string err = dir + "/stderr.txt";
+    const char* kCount = "[0, 1099511627776]";  // [0, 2^40]
+
+    // dlproj_campaign: a run that started would create its cache.
+    const std::string spec_path = dir + "/flags.campaign";
+    spit(spec_path, kCrashSpec);
+    const std::string cache = dir + "/cache";
+    const std::pair<const char*, const char*> campaign_cases[] = {
+        {"--timeout-ms=5s", kCount},
+        {"--timeout-ms=-1", kCount},
+        {"--max-vectors=12abc", kCount},
+        {"--threads=257", "[0, 256]"},
+        {"--threads=2x", "[0, 256]"},
+        {"--ndetect=1,2x", "[1, 64]"},
+        {"--ndetect=1,65", "[1, 64]"},
+    };
+    for (const auto& [arg, range] : campaign_cases) {
+        expect_flag_rejected(campaign,
+                             {"--cache-dir=" + cache, "--quiet", spec_path},
+                             arg, range, err);
+        EXPECT_FALSE(fs::exists(cache)) << arg;
+    }
+
+    // dlproj_client: an accepted value would try the (absent) socket and
+    // end "unreachable" (exit 4) instead.
+    const std::pair<const char*, const char*> client_cases[] = {
+        {"--timeout-ms=5s", kCount},
+        {"--io-timeout-ms=0", "[1, 2147483647]"},
+        {"--retries=1x", "[1, 100]"},
+        {"--retries=0", "[1, 100]"},
+        {"--threads=999", "[0, 256]"},
+        {"--max-vectors=-1", kCount},
+        {"--seed=-1", "[0, 2251799813685247]"},
+        {"--ndetect=65", "[1, 64]"},
+        {"--linger-ms=1e3", kCount},
+    };
+    for (const auto& [arg, range] : client_cases)
+        expect_flag_rejected(client,
+                             {"--socket=" + dir + "/absent.sock", "--quiet",
+                              "--retries=1", "ping"},
+                             arg, range, err);
 }
 
 }  // namespace

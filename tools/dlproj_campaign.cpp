@@ -19,8 +19,10 @@
 //                     levelized).
 //                     Engines are bit-identical — this is a performance
 //                     knob and never affects results or cache keys
-//   --threads=N       worker count within each cell (0 = default)
-//   --max-vectors=N   override the spec's per-cell vector budget
+//   --threads=N       worker count within each cell, in [0, 256]
+//                     (0 = default)
+//   --max-vectors=N   override the spec's per-cell vector budget, in
+//                     [0, 2^40] (0 = unlimited)
 //   --ndetect=LIST    override the spec's [grid] ndetect axis with a
 //                     comma-separated list of targets in [1, 64]
 //                     (e.g. --ndetect=1,2,4,8)
@@ -31,7 +33,8 @@
 //                     with a comma-separated list of backend descriptors
 //                     ("poisson" | "negbin:A" | "hier[:...]"; e.g.
 //                     --defect-stats=poisson,negbin:0.5,negbin:2)
-//   --timeout-ms=N    wall-clock budget for the whole campaign; on expiry
+//   --timeout-ms=N    wall-clock budget for the whole campaign, in
+//                     [0, 2^40] ms (0 = none); on expiry
 //                     the run stops at the next cell/stage boundary and
 //                     the partial report (an exact prefix) is emitted
 //   --no-recover      skip the startup artifact-store crash recovery
@@ -44,6 +47,10 @@
 // boundary, everything completed so far is committed to the cache and
 // emitted as a partial report, and the exit status is 130.  A second
 // SIGINT kills the process immediately (the handler is one-shot).
+//
+// Numeric flags must be plain base-10 integers in their range; anything
+// else (trailing junk such as "5s", overflow) exits 2 naming the flag
+// before any work starts.
 //
 // Exit status: 0 success, 1 campaign failure (lint gate, bad inputs),
 // 2 usage or I/O error, 130 interrupted (SIGINT).  A run stopped by the
@@ -58,6 +65,7 @@
 #include <string>
 
 #include "support/cancel.h"
+#include "support/env.h"
 
 #include "campaign/report.h"
 #include "campaign/runner.h"
@@ -120,6 +128,9 @@ int main(int argc, char** argv) {
     int threads = 0;
     long long max_vectors = -1;  // <0: keep the spec's value
     long long timeout_ms = 0;    // 0: no campaign-level deadline
+    // Vector counts and milliseconds stop at 2^40 (~35 years of ms), far
+    // below where budget or steady_clock arithmetic could overflow.
+    constexpr long long kMaxCount = 1ll << 40;
     bool no_recover = false;
     std::string ndetect_list;   // empty: keep the spec's axis
     std::string analysis_list;  // empty: keep the spec's axis
@@ -129,6 +140,11 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         const auto value = [&](const char* flag) {
             return arg.substr(std::strlen(flag));
+        };
+        const auto number = [&](long long min, long long max) {
+            const std::size_t eq = arg.find('=');
+            return support::parse_int(arg.substr(0, eq).c_str(),
+                                      arg.substr(eq + 1), min, max);
         };
         try {
             if (arg.rfind("--cache-dir=", 0) == 0)
@@ -146,9 +162,9 @@ int main(int argc, char** argv) {
             else if (arg.rfind("--engine=", 0) == 0)
                 engine = value("--engine=");
             else if (arg.rfind("--threads=", 0) == 0)
-                threads = std::stoi(value("--threads="));
+                threads = static_cast<int>(number(0, 256));
             else if (arg.rfind("--max-vectors=", 0) == 0)
-                max_vectors = std::stoll(value("--max-vectors="));
+                max_vectors = number(0, kMaxCount);
             else if (arg.rfind("--ndetect=", 0) == 0)
                 ndetect_list = value("--ndetect=");
             else if (arg.rfind("--analysis=", 0) == 0)
@@ -156,7 +172,7 @@ int main(int argc, char** argv) {
             else if (arg.rfind("--defect-stats=", 0) == 0)
                 defect_stats_list = value("--defect-stats=");
             else if (arg.rfind("--timeout-ms=", 0) == 0)
-                timeout_ms = std::stoll(value("--timeout-ms="));
+                timeout_ms = number(0, kMaxCount);
             else if (arg == "--no-recover")
                 no_recover = true;
             else if (arg == "--list")
@@ -172,6 +188,9 @@ int main(int argc, char** argv) {
                 std::cerr << argv[0] << ": extra argument " << arg << "\n";
                 return usage(argv[0]);
             }
+        } catch (const support::EnvError& e) {
+            std::cerr << argv[0] << ": " << e.what() << "\n";
+            return 2;
         } catch (const std::exception& e) {
             std::cerr << argv[0] << ": bad value in " << arg << ": "
                       << e.what() << "\n";
@@ -195,10 +214,8 @@ int main(int argc, char** argv) {
         try {
             while (std::getline(in, item, ',')) {
                 if (item.empty()) continue;
-                const int n = std::stoi(item);
-                if (n < 1 || n > 64)
-                    throw std::runtime_error("target out of range [1, 64]");
-                spec.ndetect.push_back(n);
+                spec.ndetect.push_back(static_cast<int>(
+                    support::parse_int("--ndetect", item, 1, 64)));
             }
             if (spec.ndetect.empty())
                 throw std::runtime_error("empty target list");
@@ -354,9 +371,9 @@ int main(int argc, char** argv) {
                   << "/" << s.cells_selected << " cells (of "
                   << s.cells_total << " in the grid), cache " << s.cell_hits
                   << " hit / " << s.cell_misses << " miss";
-        if (s.tests_hits || s.sim_hits || s.faults_hits || s.analysis_hits) {
+        if (s.tests_hits || s.sim_hits || s.analysis_hits) {
             std::cerr << " (stage hits: " << s.tests_hits << " tests, "
-                      << s.sim_hits << " sim, " << s.faults_hits << " faults";
+                      << s.sim_hits << " sim";
             if (s.analysis_hits)
                 std::cerr << ", " << s.analysis_hits << " analysis";
             std::cerr << ")";

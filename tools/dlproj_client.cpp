@@ -10,15 +10,19 @@
 //   dlproj_client [options] project <circuit> <rules>
 //
 //   --socket=PATH          service socket (default: $DLPROJ_SERVE_SOCKET)
-//   --timeout-ms=N         request deadline (envelope deadline_ms; the
-//                          server clamps it to its own --deadline-ms)
-//   --io-timeout-ms=N      per-frame read/write bound (default 30000)
-//   --retries=N            total attempts incl. the first (default 5)
+//   --timeout-ms=N         request deadline in [0, 2^40] ms (envelope
+//                          deadline_ms; the server clamps it to its own
+//                          --deadline-ms)
+//   --io-timeout-ms=N      per-frame read/write bound in [1, 2^31 - 1] ms
+//                          (default 30000)
+//   --retries=N            total attempts incl. the first, in [1, 100]
+//                          (default 5)
 //   --idempotency-key=K    explicit key (default: derived per call)
 //   --engine=NAME          fault-sim engine override
-//   --threads=N            worker threads inside the run
-//   --max-vectors=N        per-cell vector budget override
-//   --seed=N               project op: ATPG seed (default 1)
+//   --threads=N            worker threads inside the run, in [0, 256]
+//   --max-vectors=N        per-cell vector budget override, in [0, 2^40]
+//   --seed=N               project op: ATPG seed in [0, 2^51 - 1]
+//                          (default 1)
 //   --ndetect=N            project op: n-detection target 1..64
 //                          (default 1 = classic single detection)
 //   --analysis             project op: run the static untestability
@@ -26,19 +30,27 @@
 //   --defect-stats=DESC    project op: defect-statistics backend
 //                          ("poisson" | "negbin:A" | "hier[:...]";
 //                          default poisson)
-//   --linger-ms=N          ping diagnostic: hold the worker N ms
+//   --linger-ms=N          ping diagnostic: hold the worker N ms, in
+//                          [0, 2^40]
 //   --no-retry-shed        report shed to the caller instead of retrying
 //   --quiet                suppress stderr progress lines
 //
+// Numeric flags must be plain base-10 integers in their range; anything
+// else (trailing junk such as "5s", overflow) exits 2 naming the flag
+// before any connection is made.
+//
 // The result body JSON goes to stdout.  Exit status: 0 ok, 1 cancelled or
 // server-side error, 2 usage, 3 shed (final), 4 unreachable.
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "service/client.h"
+#include "support/env.h"
 
 namespace {
 
@@ -73,39 +85,49 @@ int main(int argc, char** argv) {
     service::Request request;
     std::vector<std::string> positional;
     bool quiet = false;
+    // The request protocol's own bounds (service/protocol.cpp): counts and
+    // milliseconds up to 2^40, seeds up to 2^51 - 1.
+    constexpr long long kMaxCount = 1ll << 40;
+    constexpr long long kMaxSeed = (1ll << 51) - 1;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&](const char* flag) {
             return arg.substr(std::strlen(flag));
         };
+        const auto number = [&](long long min, long long max) {
+            const std::size_t eq = arg.find('=');
+            return support::parse_int(arg.substr(0, eq).c_str(),
+                                      arg.substr(eq + 1), min, max);
+        };
         try {
             if (arg.rfind("--socket=", 0) == 0)
                 options.socket_path = value("--socket=");
             else if (arg.rfind("--timeout-ms=", 0) == 0)
-                request.deadline_ms = std::stoll(value("--timeout-ms="));
+                request.deadline_ms = number(0, kMaxCount);
             else if (arg.rfind("--io-timeout-ms=", 0) == 0)
-                options.io_timeout_ms = std::stoi(value("--io-timeout-ms="));
+                options.io_timeout_ms = static_cast<int>(
+                    number(1, std::numeric_limits<int>::max()));
             else if (arg.rfind("--retries=", 0) == 0)
-                options.max_attempts = std::stoi(value("--retries="));
+                options.max_attempts = static_cast<int>(number(1, 100));
             else if (arg.rfind("--idempotency-key=", 0) == 0)
                 request.idempotency_key = value("--idempotency-key=");
             else if (arg.rfind("--engine=", 0) == 0)
                 request.engine = value("--engine=");
             else if (arg.rfind("--threads=", 0) == 0)
-                request.threads = std::stoi(value("--threads="));
+                request.threads = static_cast<int>(number(0, 256));
             else if (arg.rfind("--max-vectors=", 0) == 0)
-                request.max_vectors = std::stoll(value("--max-vectors="));
+                request.max_vectors = number(0, kMaxCount);
             else if (arg.rfind("--seed=", 0) == 0)
-                request.seed = std::stoull(value("--seed="));
+                request.seed = static_cast<std::uint64_t>(number(0, kMaxSeed));
             else if (arg.rfind("--ndetect=", 0) == 0)
-                request.ndetect = std::stoi(value("--ndetect="));
+                request.ndetect = static_cast<int>(number(1, 64));
             else if (arg == "--analysis")
                 request.analysis = true;
             else if (arg.rfind("--defect-stats=", 0) == 0)
                 request.defect_stats = value("--defect-stats=");
             else if (arg.rfind("--linger-ms=", 0) == 0)
-                request.linger_ms = std::stoll(value("--linger-ms="));
+                request.linger_ms = number(0, kMaxCount);
             else if (arg == "--no-retry-shed")
                 options.retry_on_shed = false;
             else if (arg == "--quiet")
@@ -115,10 +137,9 @@ int main(int argc, char** argv) {
                 return usage(argv[0]);
             } else
                 positional.push_back(arg);
-        } catch (const std::exception& e) {
-            std::cerr << argv[0] << ": bad value in " << arg << ": "
-                      << e.what() << "\n";
-            return usage(argv[0]);
+        } catch (const support::EnvError& e) {
+            std::cerr << argv[0] << ": " << e.what() << "\n";
+            return 2;
         }
     }
     if (positional.empty()) return usage(argv[0]);
